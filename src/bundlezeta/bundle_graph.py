@@ -29,10 +29,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PreconditionError
-from .special_functions import sin_pi
 
 UNIT_MODULUS_TOL = 1e-12
 MAX_DENSE_DIMENSION = 20000
+MAX_EIGENVALUES = 4_000_000  # largest closed-form spectrum built in memory (32 MB)
 
 
 def _coerce_unit(value) -> complex:
@@ -274,16 +274,39 @@ def laplacian(graph: LineBundleGraph, max_dimension: int = MAX_DENSE_DIMENSION) 
     return HermitianOperator(m)
 
 
+def line_spectrum(a: int, lam: float) -> np.ndarray:
+    """4 sin^2(pi (j + lam) / a), j = 0..a-1: the spectrum of one twisted cycle.
+
+    Reduces x = (j + lam)/a to x - round(x) as ``sin_pi`` does, so every
+    value agrees with ``4 * sin_pi((j + lam) / a) ** 2`` to 1 ulp and the
+    small eigenvalues keep full relative accuracy.
+    """
+    x = (np.arange(a, dtype=float) + lam) / a
+    return 4.0 * np.sin(np.pi * (x - np.rint(x))) ** 2
+
+
+def outer_spectrum(sides: Sequence[int], lams: Sequence[float]) -> np.ndarray:
+    """All prod(sides) sums of one line eigenvalue per direction, unsorted.
+
+    Row-major over (j_1, ..., j_d), so entry 0 takes j_i = 0 everywhere.
+    Refuses before allocating when the count exceeds ``MAX_EIGENVALUES``.
+    """
+    count = math.prod(sides)
+    if count > MAX_EIGENVALUES:
+        raise PreconditionError(
+            f"{count} closed-form eigenvalues requested, above the cap {MAX_EIGENVALUES}"
+        )
+    total = np.zeros(1)
+    for a, lam in zip(sides, lams):
+        total = (total[:, None] + line_spectrum(a, lam)[None, :]).ravel()
+    return total
+
+
 def torus_eigenvalues(spec: TorusBundleSpec) -> np.ndarray:
     """All prod(a_i) closed-form eigenvalues, sorted ascending."""
-    lam = spec.holonomies
-    total = np.zeros(1)
-    for ai, li in zip(spec.a, lam):
-        js = np.arange(ai, dtype=float)
-        factor = np.array([4.0 * sin_pi((j + li) / ai) ** 2 for j in js])
-        total = (total[:, None] + factor[None, :]).ravel()
-    total.sort()
-    return total
+    evs = outer_spectrum(spec.a, spec.holonomies)
+    evs.sort()
+    return evs
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle_graph import TorusBundleSpec, torus_eigenvalues
+from .bundle_graph import MAX_EIGENVALUES, TorusBundleSpec, torus_eigenvalues
 from .errors import PreconditionError
 from .heat_theta import ContinuousTorusSpec, theta_continuous, theta_continuous_minus_leading
 from .quadrature import QuadratureSpec, TailRule, integrate_interval, integrate_semi_infinite
@@ -40,8 +40,6 @@ from .special_functions import (
 EULER_GAMMA = 0.57721566490153286060651209008240243
 
 ZETA_METHODS = ("eigensum", "integral_split", "closed_form_d1", "kronecker_d2", "poisson_dual")
-
-DEFAULT_EIGENSUM_CAP = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -414,7 +412,7 @@ def lattice_zeta_deriv0(d: int, quad: QuadratureSpec | None = None) -> ZetaEvalu
 # ---------------------------------------------------------------------------
 
 
-def torus_zeta(s: complex, spec: TorusBundleSpec, max_terms: int = DEFAULT_EIGENSUM_CAP) -> complex:
+def torus_zeta(s: complex, spec: TorusBundleSpec, max_terms: int = MAX_EIGENVALUES) -> complex:
     """Entire spectral zeta sum over the closed-form torus eigenvalues."""
     if spec.vertex_count > max_terms:
         raise PreconditionError(
@@ -430,15 +428,8 @@ def torus_zeta(s: complex, spec: TorusBundleSpec, max_terms: int = DEFAULT_EIGEN
     return complex(np.exp(-complex(s) * np.log(evs)).sum())
 
 
-def torus_zeta_deriv0(spec: TorusBundleSpec, max_terms: int = DEFAULT_EIGENSUM_CAP) -> float:
+def torus_zeta_deriv0(spec: TorusBundleSpec) -> float:
     """Derivative at 0: minus the log determinant of the bundle Laplacian."""
-    if spec.vertex_count > max_terms:
-        raise PreconditionError(
-            f"torus has {spec.vertex_count} eigenvalues, above cap {max_terms}"
-        )
-    if all(l == 0.0 for l in spec.holonomies):
-        raise PreconditionError("trivial bundle has a zero eigenvalue")
-    evs = torus_eigenvalues(spec)
-    if evs[0] <= 0.0:
-        raise PreconditionError("nonpositive eigenvalue encountered")
-    return -float(np.log(evs).sum())
+    from .asymptotics import log_det  # asymptotics imports this module
+
+    return -log_det(spec)

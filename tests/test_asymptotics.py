@@ -1,5 +1,7 @@
 import cmath
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from bundlezeta.asymptotics import (
     rescaled_theta_gap,
     zeta_limit_residuals,
 )
-from bundlezeta.bundle_graph import TorusBundleSpec, build_torus, laplacian
+from bundlezeta.bundle_graph import TorusBundleSpec, build_torus, laplacian, torus_eigenvalues
 from bundlezeta.errors import PreconditionError
 from bundlezeta.heat_theta import ContinuousTorusSpec
 
@@ -110,6 +112,41 @@ def test_log_det_star_single_vertex():
 def test_log_det_star_refuses_twisted():
     with pytest.raises(PreconditionError):
         log_det_star(TorusBundleSpec.single_twist(1, (4,), (0.5,)))
+
+
+def test_collapsed_log_det_matches_eigenvalue_sum():
+    # two routes: the collapsed longest direction against fsum of all N logs
+    # of the sorted closed-form spectrum.  The tolerance is relative to
+    # sum |log ev|, the scale of the rounding in either sum (log det itself
+    # can sit near 0).
+    rng = np.random.default_rng(41)
+    for d in (1, 2, 3):
+        for sides in itertools.product((1, 2, 3, 4, 5, 9, 32), repeat=d):
+            k = sides.index(max(sides))
+            lams = [
+                tuple(rng.uniform(0.05, 0.95, d)),
+                (0.999,) * d,
+                tuple(0.0 if i == k else 0.4 for i in range(d)),
+                tuple(0.6 if i == k else 0.0 for i in range(d)),
+            ]
+            for lam in filter(any, lams):
+                spec = TorusBundleSpec.single_twist(d, sides, lam)
+                logs = np.log(torus_eigenvalues(spec))
+                scale = float(np.abs(logs).sum())
+                assert abs(log_det(spec) - math.fsum(logs.tolist())) <= 1e-13 * scale
+            spec = TorusBundleSpec.single_twist(d, sides, (0.0,) * d)
+            logs = np.log(torus_eigenvalues(spec)[1:])
+            scale = float(np.abs(logs).sum())
+            assert abs(log_det_star(spec) - math.fsum(logs.tolist())) <= 1e-13 * scale
+
+
+def test_log_det_large_torus_is_fast():
+    # 10^10 vertices: only the 10^5 transverse eigenvalues are built
+    spec = TorusBundleSpec.single_twist(2, (100000, 100000), (0.3, 0.7))
+    start = time.perf_counter()
+    value = log_det(spec)
+    assert time.perf_counter() - start < 0.1
+    assert value == pytest.approx(1e10 * 4.0 * 0.915965594177219015 / math.pi, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,14 @@ from bundlezeta.bundle_graph import (
     build_torus,
     holonomies,
     laplacian,
+    line_spectrum,
     load_spec_file,
     parse_graph_spec,
     parse_torus_spec,
     torus_eigenvalues,
 )
 from bundlezeta.errors import PreconditionError
+from bundlezeta.special_functions import sin_pi
 
 
 def unit(turns):
@@ -166,6 +168,34 @@ def test_eigenvalues_trivial_has_single_zero():
     for n in (1, 2, 5, 8):
         evs = torus_eigenvalues(TorusBundleSpec.single_twist(1, (n,), (0.0,)))
         assert np.count_nonzero(np.abs(evs) < 1e-12) == 1
+
+
+def sin_pi_line(a, lam):
+    """Per-element reference: 4 sin_pi((j + lam)/a)^2, one scalar call each."""
+    return np.array([4.0 * sin_pi((j + lam) / a) ** 2 for j in np.arange(a, dtype=float)])
+
+
+def assert_within_one_ulp(values, reference):
+    assert np.all(np.abs(values - reference) <= np.spacing(np.abs(reference)))
+
+
+@pytest.mark.parametrize("lam", [0.93, 0.95, 0.999])
+def test_line_spectrum_matches_sin_pi_to_one_ulp(lam):
+    # np.sin(np.pi * (j + lam) / a) without the reduction is off by 2e-10
+    # relative at the smallest eigenvalue here
+    assert_within_one_ulp(line_spectrum(65536, lam), sin_pi_line(65536, lam))
+
+
+def test_torus_eigenvalues_match_sin_pi_reference():
+    spec = TorusBundleSpec.single_twist(2, (256, 256), (0.93, 0.94))
+    f0, f1 = (sin_pi_line(256, lam) for lam in spec.holonomies)
+    assert_within_one_ulp(torus_eigenvalues(spec), np.sort((f0[:, None] + f1[None, :]).ravel()))
+
+
+def test_torus_eigenvalues_cap_refused():
+    # 2001 * 2000 eigenvalues: one row above the 4 million cap
+    with pytest.raises(PreconditionError, match="cap"):
+        torus_eigenvalues(TorusBundleSpec.single_twist(2, (2001, 2000), (0.3, 0.7)))
 
 
 def test_eigenvalues_match_dense_solver_exhaustively():

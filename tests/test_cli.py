@@ -48,6 +48,14 @@ def test_detlog_trivial_bundle_structured_error(capsys):
     assert "zero eigenvalue" in rep["error"]
 
 
+def test_detlog_eigenvalue_cap_refused(capsys):
+    # 4000^3 vertices: the 4000^2 transverse eigenvalues are above the cap
+    code, rep = run_json(capsys, "detlog", "--d", "3", "--a", "4000,4000,4000", "--lambda", "0.3,0.4,0.5")
+    assert code == 2
+    assert rep["kind"] == "precondition"
+    assert "cap" in rep["error"]
+
+
 # ---------------------------------------------------------------------------
 # crsf-check
 # ---------------------------------------------------------------------------
