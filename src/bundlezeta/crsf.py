@@ -9,22 +9,20 @@ edges as the graph has vertices.  For a line bundle the weighted count
 equals det of the bundle Laplacian (w the cycle monodromy; orientation
 reversal swaps w and 1/w, leaving each factor unchanged).
 
-Enumeration is deliberately brute force: all edge subsets of size
-#vertices, filtered by a union-find that rejects a second cycle inside a
-component.  The structural part (subsets plus oriented cycle walks) only
-depends on the endpoints, so it is cached and reused across weight
-assignments; the sum itself is then a vectorized pass over monodromy
-phases.
+Forests come from a pruned backtracking walk over the edges (``_walk``),
+cached per graph shape; a weighted sum is then one vectorized pass over
+the distinct cycles and cycle sets.  The default cap of 24 edges is the
+3x4 torus: 1,044,493 forests, about 3 s and 25 MB for the first walk on a
+2-core VM (3x3: about 0.1 s), then well under a millisecond per weighting.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import defaultdict
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -49,135 +47,154 @@ class CRSF:
     cycles: tuple[Cycle, ...]
 
 
-def _is_crsf_subset(n_vertices: int, endpoints, subset) -> bool:
-    parent = list(range(n_vertices))
-    has_cycle = [False] * n_vertices
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for idx in subset:
-        a, b = endpoints[idx]
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            if has_cycle[ra]:
-                return False
-            has_cycle[ra] = True
-        else:
-            if has_cycle[ra] and has_cycle[rb]:
-                return False
-            parent[ra] = rb
-            has_cycle[rb] = has_cycle[ra] or has_cycle[rb]
-    # |subset| == n_vertices forces every component to own exactly one cycle
-    return True
-
-
-def _strip_to_cycle_edges(endpoints, subset):
-    deg = defaultdict(int)
-    incident = defaultdict(list)
-    for idx in subset:
-        a, b = endpoints[idx]
-        incident[a].append(idx)
-        deg[a] += 1
-        if b == a:
-            deg[a] += 1
-        else:
-            incident[b].append(idx)
-            deg[b] += 1
-    removed = set()
-    leaves = [v for v, k in deg.items() if k == 1]
-    while leaves:
-        v = leaves.pop()
-        if deg[v] != 1:
-            continue
-        edge = next(e for e in incident[v] if e not in removed)
-        removed.add(edge)
-        a, b = endpoints[edge]
-        other = b if v == a else a
-        deg[v] -= 1
-        deg[other] -= 1
-        if deg[other] == 1:
-            leaves.append(other)
-    return [idx for idx in subset if idx not in removed]
-
-
-def _oriented_cycle_walks(endpoints, cycle_edges):
-    incident = defaultdict(list)
-    for idx in cycle_edges:
-        a, b = endpoints[idx]
-        incident[a].append(idx)
-        if b != a:
-            incident[b].append(idx)
-
-    def across(edge, v):
-        a, b = endpoints[edge]
-        return b if v == a else a
-
-    unused = set(cycle_edges)
-    walks = []
-    while unused:
-        start = min(v for v, es in incident.items() if any(e in unused for e in es))
-        # orientation: lowest vertex first, toward its lowest neighbor
-        # (ties between parallel edges broken by edge index)
-        first = min(
-            (e for e in incident[start] if e in unused),
-            key=lambda e: (across(e, start), e),
-        )
-        steps = []
-        vertices = [start]
-        v, edge = start, first
-        while True:
-            a, b = endpoints[edge]
-            sign = 1 if v == a else -1
-            steps.append((edge, sign))
-            unused.discard(edge)
-            v = b if v == a else a
-            if v == start:
-                break
-            vertices.append(v)
-            edge = next(e for e in incident[v] if e in unused)
-        walks.append((tuple(steps), tuple(vertices)))
-    walks.sort(key=lambda w: w[1][0])
-    return walks
+class _Walk(NamedTuple):
+    edges: array  # forest k is edges[k*n : (k+1)*n], n = vertex count
+    cycle_set: array  # cycle-set id of each forest
+    incidence: np.ndarray  # signed cycle x edge incidence, one row per distinct cycle
+    sets: np.ndarray  # cycle ids of each distinct cycle set, padded with len(incidence)
+    counts: np.ndarray  # forests per cycle set
 
 
 @lru_cache(maxsize=64)
-def _crsf_structures(n_vertices: int, endpoints: tuple[tuple[int, int], ...]):
-    """All CRSF edge subsets with their oriented cycle walks (weights unused)."""
-    n_edges = len(endpoints)
-    structures = []
-    for subset in itertools.combinations(range(n_edges), n_vertices):
-        if not _is_crsf_subset(n_vertices, endpoints, subset):
-            continue
-        cycle_edges = _strip_to_cycle_edges(endpoints, subset)
-        walks = _oriented_cycle_walks(endpoints, cycle_edges)
-        structures.append((subset, walks))
-    return tuple(structures)
+def _walk(n_vertices: int, endpoints: tuple[tuple[int, int], ...]) -> _Walk:
+    """Every CRSF of the shape, in itertools.combinations order.
+
+    Depth-first over the edges, "include" before "exclude", with an eager
+    union-find (union by size) rolled back on return.  pot[v] codes the tree
+    path from v's root to v as an exact sum of +-4^e, so edge e = (a, b)
+    inside a component closes the cycle 4^e + pot[a] - pot[b], one key per
+    cycle since e is its highest edge.  Branches are cut when fewer edges
+    remain than acyclic components or an acyclic component has no later edge.
+    """
+    m = len(endpoints)
+    power = [4**e for e in range(m)]
+    root = list(range(n_vertices))
+    pot = [0] * n_vertices
+    members = [[v] for v in range(n_vertices)]
+    has_cycle = [False] * n_vertices
+    reach = [-1] * n_vertices  # per root: index of the last edge touching the component
+    for e, (a, b) in enumerate(endpoints):
+        reach[a] = reach[b] = e
+    cycle_ids: dict[int, int] = {}
+    set_ids: dict[tuple[int, ...], int] = {}
+    chosen: list[int] = []
+    cycles: list[int] = []
+    edges = array("B" if m <= 256 else "I")
+    cycle_set = array("I")
+
+    def finish(i):
+        # one acyclic component is left: each later edge touching it completes a forest
+        base = tuple(cycles)
+        prefix = array(edges.typecode, chosen)
+        for e in range(i, m):
+            a, b = endpoints[e]
+            ra, rb = root[a], root[b]
+            if has_cycle[ra] and has_cycle[rb]:
+                continue
+            key = base
+            if ra == rb:
+                key += (cycle_ids.setdefault(power[e] + pot[a] - pot[b], len(cycle_ids)),)
+            edges.extend(prefix)
+            edges.append(e)
+            cycle_set.append(set_ids.setdefault(key, len(set_ids)))
+
+    def branch(i, need):
+        if need == 1:
+            return finish(i)
+        if m - i < need:
+            return
+        a, b = endpoints[i]
+        ra, rb = root[a], root[b]
+        chosen.append(i)
+        if ra == rb:
+            if not has_cycle[ra]:
+                has_cycle[ra] = True
+                cycles.append(cycle_ids.setdefault(power[i] + pot[a] - pot[b], len(cycle_ids)))
+                branch(i + 1, need - 1)
+                cycles.pop()
+                has_cycle[ra] = False
+        elif not (has_cycle[ra] and has_cycle[rb]):
+            shift = pot[a] + power[i] - pot[b]
+            if len(members[ra]) < len(members[rb]):
+                ra, rb, shift = rb, ra, -shift
+            small = members[rb]
+            for v in small:
+                root[v] = ra
+                pot[v] += shift
+            members[ra].extend(small)
+            saved = has_cycle[ra], reach[ra]
+            has_cycle[ra] = saved[0] or has_cycle[rb]
+            reach[ra] = max(saved[1], reach[rb])
+            if has_cycle[ra] or reach[ra] > i:
+                branch(i + 1, need - 1)
+            has_cycle[ra], reach[ra] = saved
+            del members[ra][-len(small) :]
+            for v in small:
+                root[v] = rb
+                pot[v] -= shift
+        chosen.pop()
+        if (has_cycle[ra] or reach[ra] > i) and (has_cycle[rb] or reach[rb] > i):
+            branch(i + 1, need)
+
+    branch(0, n_vertices)
+
+    ones = (4**m - 1) // 3  # shifts each digit -1, 0, 1 of a key to 0, 1, 2
+    incidence = np.array(
+        [[((key + ones) >> 2 * e & 3) - 1 for e in range(m)] for key in cycle_ids], dtype=float
+    ).reshape(len(cycle_ids), m)
+    width = max(map(len, set_ids), default=0)
+    pad = (len(cycle_ids),)
+    sets = np.array([key + pad * (width - len(key)) for key in set_ids], dtype=np.intp)
+    counts = np.bincount(np.asarray(cycle_set, dtype=np.intp), minlength=len(set_ids))
+    return _Walk(edges, cycle_set, incidence, sets.reshape(len(set_ids), width), counts)
+
+
+def _oriented_cycle(endpoints, signed_edges):
+    """Steps and vertices of one cycle, from its lowest vertex toward its
+    lowest neighbor (ties between parallel edges broken by edge index)."""
+    forward = {}  # vertex -> (edge, sign, next vertex) along the signs given
+    for e, sign in signed_edges:
+        a, b = endpoints[e] if sign > 0 else endpoints[e][::-1]
+        forward[a] = (e, sign, b)
+    backward = {w: (e, -sign, v) for v, (e, sign, w) in forward.items()}
+    start = min(forward)
+    way = min(forward, backward, key=lambda d: (d[start][2], d[start][0]))
+    steps, vertices, v = [], [], start
+    while not (steps and v == start):
+        vertices.append(v)
+        e, sign, v = way[v]
+        steps.append((e, sign))
+    return tuple(steps), tuple(vertices)
 
 
 def _check_cap(graph: LineBundleGraph, edge_cap: int):
     if len(graph.edges) > edge_cap:
         raise PreconditionError(
             f"graph has {len(graph.edges)} edges, above the enumeration cap "
-            f"{edge_cap}; refusing brute-force CRSF enumeration"
+            f"{edge_cap}; refusing CRSF enumeration"
         )
 
 
 def enumerate_crsfs(graph: LineBundleGraph, edge_cap: int = DEFAULT_EDGE_CAP) -> Iterator[CRSF]:
-    """Yield every unoriented CRSF exactly once, in deterministic order."""
+    """Yield every unoriented CRSF exactly once, in lexicographic edge order."""
     _check_cap(graph, edge_cap)
+    n = graph.vertex_count
+    endpoints = graph.edge_endpoints
+    walk = _walk(n, endpoints)
     weights = [w for _, _, w in graph.edges]
-    for subset, walks in _crsf_structures(graph.vertex_count, graph.edge_endpoints):
-        cycles = []
-        for steps, vertices in walks:
-            mono = 1.0 + 0.0j
-            for edge, sign in steps:
-                mono = mono * weights[edge] if sign > 0 else mono / weights[edge]
-            cycles.append(Cycle(steps, vertices, mono))
-        yield CRSF(tuple(subset), tuple(cycles))
+    cycles = []
+    for row in walk.incidence:
+        steps, vertices = _oriented_cycle(endpoints, [(e, int(x)) for e, x in enumerate(row) if x])
+        mono = 1.0 + 0.0j
+        for edge, sign in steps:
+            mono = mono * weights[edge] if sign > 0 else mono / weights[edge]
+        cycles.append(Cycle(steps, vertices, mono))
+    by_set = [
+        tuple(sorted((cycles[c] for c in ids if c < len(cycles)), key=lambda c: c.vertices[0]))
+        for ids in walk.sets.tolist()
+    ]
+    for k, s in enumerate(walk.cycle_set):
+        yield CRSF(tuple(walk.edges[k * n : (k + 1) * n]), by_set[s])
 
 
 def crsf_weight(forest: CRSF) -> float:
@@ -197,32 +214,11 @@ def crsf_weight(forest: CRSF) -> float:
 def kenyon_sum(graph: LineBundleGraph, edge_cap: int = DEFAULT_EDGE_CAP) -> float:
     """Weighted CRSF count; equals det of the bundle Laplacian.
 
-    Unit-modulus monodromies make every cycle factor 2 - 2 cos(phase), so
-    the sum reduces to phase arithmetic over the cached cycle structures.
+    Unit-modulus monodromies make every cycle factor 2 - 2 cos(phase); the
+    sum runs over the distinct cycle sets, each weighted by its forest count.
     """
     _check_cap(graph, edge_cap)
-    structures = _crsf_structures(graph.vertex_count, graph.edge_endpoints)
-    if not structures:
-        return 0.0
+    walk = _walk(graph.vertex_count, graph.edge_endpoints)
     phases = np.array([math.atan2(w.imag, w.real) for _, _, w in graph.edges])
-
-    step_edges = []
-    step_signs = []
-    cycle_starts = []
-    crsf_starts = []
-    n_cycles = 0
-    for _, walks in structures:
-        crsf_starts.append(n_cycles)
-        for steps, _ in walks:
-            cycle_starts.append(len(step_edges))
-            for edge, sign in steps:
-                step_edges.append(edge)
-                step_signs.append(sign)
-            n_cycles += 1
-    step_edges = np.array(step_edges)
-    step_signs = np.array(step_signs, dtype=float)
-
-    cycle_phase = np.add.reduceat(step_signs * phases[step_edges], np.array(cycle_starts))
-    cycle_factor = 2.0 - 2.0 * np.cos(cycle_phase)
-    per_forest = np.multiply.reduceat(cycle_factor, np.array(crsf_starts))
-    return float(per_forest.sum())
+    factor = np.append(2.0 - 2.0 * np.cos(walk.incidence @ phases), 1.0)
+    return float(walk.counts @ factor[walk.sets].prod(axis=1))

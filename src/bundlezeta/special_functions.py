@@ -136,7 +136,10 @@ def _bessel_debye_scaled(n: int, x: float) -> float:
     # n >= ~1000 at any x > 0.
     nu = float(n)
     root = math.hypot(nu, x)
-    eta = root + nu * math.log(x / (nu + root)) - x
+    # eta = root - x + nu log(x / (nu + root)), with root - x = nu^2 / (root + x)
+    # so that neither term cancels when x >> nu
+    gap = nu * nu / (root + x)
+    eta = gap - nu * math.log1p((nu + gap) / x)
     if eta < -745.0:
         return 0.0
     p = nu / root

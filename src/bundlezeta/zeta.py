@@ -86,7 +86,8 @@ def lattice_constant(d: int, quad: QuadratureSpec | None = None) -> float:
 
         - integral over (0, inf) of ((e^{-2dt} I_0(2t)^d - e^{-t}) / t) dt.
 
-    Known values: 0 in dimension one and 4G/pi (G Catalan) in dimension two.
+    Known values: 0 in dimension one (returned exactly, with error 0) and
+    4G/pi (G Catalan) in dimension two.
     """
     value, _ = lattice_constant_eval(d, quad)
     return value
@@ -95,6 +96,9 @@ def lattice_constant(d: int, quad: QuadratureSpec | None = None) -> float:
 def lattice_constant_eval(d: int, quad: QuadratureSpec | None = None) -> tuple[float, float]:
     if not 1 <= d <= 10:
         raise PreconditionError(f"dimension must be in 1..10, got {d}")
+    if d == 1:
+        # c_1 = int_0^1 log(4 sin^2 pi x) dx = 0 exactly; quadrature would leave ~1e-16
+        return 0.0, 0.0
     quad = quad or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11, max_subdivisions=8000)
 
     def integrand(t: float) -> float:

@@ -201,6 +201,15 @@ def test_logdet_residuals_dimension_one_closed_loop():
     assert series.slope is None or abs(series.residuals[0]) > 0
 
 
+def test_logdet_residuals_dimension_one_at_rounding_level():
+    # c_1 = 0 exactly, so nothing grows like N: each residual is a few roundings
+    for lam in (0.07, 0.3, 0.5):
+        fam = TorusFamily.from_multipliers((1.0,), (lam,))
+        series = logdet_limit_residuals(fam, (64, 512, 4096, 65536))
+        for r in series.residuals:
+            assert abs(r) <= 4.0 * math.ulp(1.0)
+
+
 def test_logdet_residuals_decrease_d2():
     fam = TorusFamily.from_multipliers((1.0, 1.0), (0.3, 0.7))
     series = logdet_limit_residuals(fam, (16, 32, 64))

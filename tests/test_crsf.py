@@ -71,6 +71,42 @@ def test_crsfs_have_vertex_count_edges_and_unicyclic_components():
         assert covered == set(range(g.vertex_count))
 
 
+@pytest.mark.parametrize("sides", [(2, 3), (2, 4), (1, 3), (1, 1, 2), (2, 2, 1), (2,), (1, 5)])
+def test_walker_forests_match_subset_oracle_in_order(sides):
+    # side 1 gives self-loops, side 2 parallel edges
+    lam = (0.3,) + (0.0,) * (len(sides) - 1)
+    g = build_torus(TorusBundleSpec.single_twist(len(sides), sides, lam))
+    oracle = list(spanning_edge_subsets(g.vertex_count, list(g.edge_endpoints)))
+    assert [c.edges for c in enumerate_crsfs(g)] == oracle
+
+
+def test_enumeration_matches_frozen_reference():
+    # parallel pair 0/1, edge 2 stored against the walk, self-loop 3
+    turns = (0.1, 0.25, 0.4, 0.3, 0.05)
+    ends = [(0, 1), (1, 0), (2, 1), (2, 2), (2, 0)]
+    g = LineBundleGraph(3, [(a, b, unit(t)) for (a, b), t in zip(ends, turns)])
+    pair = (((0, 1), (1, 1)), (0, 1), 0.35)
+    loop = (((3, 1),), (2,), 0.3)
+    expected = [
+        ((0, 1, 2), [pair]),
+        ((0, 1, 3), [pair, loop]),
+        ((0, 1, 4), [pair]),
+        ((0, 2, 3), [loop]),
+        ((0, 2, 4), [(((0, 1), (2, -1), (4, 1)), (0, 1, 2), 0.75)]),
+        ((0, 3, 4), [loop]),
+        ((1, 2, 3), [loop]),
+        ((1, 2, 4), [(((1, -1), (2, -1), (4, 1)), (0, 1, 2), 0.4)]),
+        ((1, 3, 4), [loop]),
+        ((2, 3, 4), [loop]),
+    ]
+    forests = list(enumerate_crsfs(g))
+    assert [f.edges for f in forests] == [e for e, _ in expected]
+    for forest, (_, cycles) in zip(forests, expected):
+        assert [(c.edge_steps, c.vertices) for c in forest.cycles] == [(s, v) for s, v, _ in cycles]
+        for cyc, (_, _, t) in zip(forest.cycles, cycles):
+            assert cyc.monodromy == pytest.approx(unit(t), abs=1e-14)
+
+
 def test_enumeration_cap_refused_with_message():
     g = build_torus(TorusBundleSpec.single_twist(2, (4, 4), (0.3, 0.0)))
     with pytest.raises(PreconditionError, match="cap"):
@@ -127,6 +163,13 @@ def test_kenyon_sum_matches_determinant_on_twisted_2x3():
     g = build_torus(spec)
     det = laplacian(g).det().real
     assert kenyon_sum(g) == pytest.approx(det, rel=1e-11)
+
+
+def test_kenyon_sum_matches_determinant_on_twisted_2x4():
+    rng = np.random.default_rng(5)
+    spec = TorusBundleSpec(2, (2, 4), [[unit(rng.uniform(0, 1)) for _ in range(k)] for k in (2, 4)])
+    g = build_torus(spec)
+    assert kenyon_sum(g) == pytest.approx(laplacian(g).det().real, rel=1e-11)
 
 
 @pytest.mark.parametrize(

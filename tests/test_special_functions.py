@@ -83,9 +83,20 @@ def test_bessel_branch_consistency():
             assert _bessel_asymptotic_scaled(n, x) == pytest.approx(float(arr[n]), rel=1e-11)
     # Debye vs Miller at the order cutoff
     direct = float(_bessel_miller_scaled(1100, 900.0)[1000])
-    assert _bessel_debye_scaled(1000, 900.0) == pytest.approx(direct, rel=1e-9)
+    assert _bessel_debye_scaled(1000, 900.0) == pytest.approx(direct, rel=1e-9, abs=0.0)
     # both underflow to zero together when the order dwarfs the argument
     assert _bessel_debye_scaled(1000, 120.0) == float(_bessel_miller_scaled(1000, 120.0)[1000]) == 0.0
+
+
+@pytest.mark.parametrize(
+    "order,x", [(1000, 2.0 * 1000**2 + 35.0), (3000, 2.0 * 3000**2 + 35.0), (1000, 1e6), (5000, 1e6)]
+)
+def test_bessel_debye_branch_large_argument_against_mpmath(order, x):
+    # root - x in the Debye exponent cancels for x >> order unless formed as order^2/(root + x)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        exact = float(mpmath.besseli(order, x) * mpmath.exp(-x))
+    assert abs(bessel_i_scaled(order, x) / exact - 1.0) <= 1e-13
 
 
 def test_bessel_huge_argument_matches_leading_asymptotics():

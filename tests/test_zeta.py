@@ -33,6 +33,7 @@ from helpers import catalan_constant
 
 def test_lattice_constant_dimension_one_vanishes():
     assert abs(lattice_constant(1)) <= 1e-8
+    assert lattice_constant_eval(1) == (0.0, 0.0)
 
 
 def test_lattice_constant_dimension_two_catalan():
