@@ -27,7 +27,6 @@ from .bundle_graph import (
     TorusBundleSpec,
     UnitWeight,
     build_torus,
-    holonomies,
     laplacian,
     load_spec_file,
     torus_eigenvalues,
@@ -55,8 +54,6 @@ from .special_functions import (
     bessel_i_scaled,
     bessel_i_scaled_many,
     hurwitz_zeta,
-    hurwitz_zeta_deriv0,
-    log_gamma,
 )
 from .zeta import (
     ZetaEvaluation,
@@ -68,7 +65,6 @@ from .zeta import (
     lattice_zeta,
     lattice_zeta_deriv0,
     torus_zeta,
-    torus_zeta_deriv0,
 )
 
 __version__ = "0.1.0"

@@ -26,11 +26,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .bundle_graph import MAX_EIGENVALUES, TorusBundleSpec, build_torus, laplacian, outer_spectrum, torus_eigenvalues
+from .bundle_graph import MAX_EIGENVALUES, TorusBundleSpec, _holonomy_of_row, build_torus, laplacian, line_spectrum, outer_spectrum
 from .errors import PreconditionError
 from .heat_theta import ContinuousTorusSpec, theta_continuous, theta_discrete, theta_discrete_minus_leading
 from .quadrature import QuadratureSpec, TailRule, integrate_interval, integrate_semi_infinite
@@ -49,35 +49,22 @@ DENSE_CROSSCHECK_DIM = 2000
 
 @dataclass(frozen=True)
 class TorusFamily:
-    """Sequence of torus bundles with a declared continuum limit.
+    """Torus bundles with sides a_i(n) = round(alpha_i n) and continuum limit (alpha, lam).
 
-    ``side_rule(n)`` gives the side lengths; the default weight rule puts
-    the whole holonomy of each direction on a single edge, so the
+    The whole holonomy of each direction sits on a single edge, so the
     holonomies stay constant along the family.
     """
 
-    d: int
-    side_rule: Callable[[int], tuple[int, ...]]
     limit: ContinuousTorusSpec
-    weight_rule: Callable[[int], Sequence[Sequence[complex]]] | None = None
 
     def spec(self, n: int) -> TorusBundleSpec:
-        sides = tuple(int(x) for x in self.side_rule(n))
-        if len(sides) != self.d:
-            raise PreconditionError("side_rule returned wrong dimension")
-        if self.weight_rule is None:
-            return TorusBundleSpec.single_twist(self.d, sides, self.limit.lam)
-        return TorusBundleSpec(self.d, sides, self.weight_rule(n))
+        sides = tuple(int(round(m * n)) for m in self.limit.alpha)
+        return TorusBundleSpec.single_twist(self.limit.d, sides, self.limit.lam)
 
     @staticmethod
     def from_multipliers(multipliers: Sequence[float], lam: Sequence[float]) -> "TorusFamily":
         """Family a_i(n) = round(m_i n), converging to alpha = multipliers."""
-        mult = tuple(float(m) for m in multipliers)
-        return TorusFamily(
-            d=len(mult),
-            side_rule=lambda n: tuple(int(round(m * n)) for m in mult),
-            limit=ContinuousTorusSpec(mult, lam),
-        )
+        return TorusFamily(ContinuousTorusSpec(multipliers, lam))
 
 
 @dataclass(frozen=True)
@@ -181,14 +168,9 @@ def log_f(sides: Sequence[int], z: Sequence[complex]) -> float:
     Dispatches to the nonzero-eigenvalue product when every twist is
     trivial (its spectrum then contains the single zero mode).
     """
-    lam = []
-    for w in z:
-        w = complex(w)
-        if abs(abs(w) - 1.0) > 1e-12:
-            raise PreconditionError(f"twist {w!r} is not unit modulus")
-        turns = cmath.phase(w) / (2.0 * math.pi)
-        lam.append(turns - math.floor(turns))
-    spec = TorusBundleSpec.single_twist(len(sides), tuple(sides), tuple(lam))
+    if len(z) != len(sides):
+        raise PreconditionError("need one twist per direction")
+    spec = TorusBundleSpec(len(sides), sides, [[1.0] * (a - 1) + [w] for a, w in zip(sides, z)])
     if all(l == 0.0 for l in spec.holonomies):
         return log_det_star(spec)
     return log_det(spec)
@@ -223,7 +205,9 @@ def logdet_correction_integral(spec: TorusBundleSpec, quad: QuadratureSpec | Non
     quad = quad or QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9, max_subdivisions=8000)
     d = spec.d
     n_vertices = spec.vertex_count
-    evs_min = float(torus_eigenvalues(spec)[0])
+    evs_min = 0.0  # the smallest eigenvalue: the sum of the smallest line eigenvalues
+    for a, lam in zip(spec.a, spec.holonomies):
+        evs_min += float(line_spectrum(a, lam).min())
 
     head = integrate_interval(
         lambda t: theta_discrete_minus_leading(spec, t) / t, 0.0, 1.0, quad
@@ -249,7 +233,7 @@ def logdet_limit_residuals(family: TorusFamily, ns: Sequence[int]) -> ResidualSe
     """r(n) = log det - N(n) c_d + zeta_EH'(0) for the family's limit."""
     if not family.limit.has_nontrivial_holonomy:
         raise PreconditionError("family limit violates the nontrivial-holonomy hypothesis")
-    c_d, _ = _cached_lattice_constant(family.d)
+    c_d, _ = _cached_lattice_constant(family.limit.d)
     deriv0 = epstein_hurwitz_deriv0(family.limit).value
     residuals = []
     for n in ns:
@@ -263,7 +247,7 @@ def zeta_limit_residuals(family: TorusFamily, s: float, ns: Sequence[int]) -> Re
 
         r(n) = (zeta_torus(s) - N(n) zeta_lattice(s) - zeta_EH(s) n^{2s}) / n^{2s}.
     """
-    d = family.d
+    d = family.limit.d
     if not (0.0 < s < 0.5 * d):
         raise PreconditionError(
             f"implemented residual window is 0 < s < d/2; got s = {s} for d = {d}"
@@ -292,35 +276,25 @@ def rescaled_theta_gap(family: TorusFamily, n: int, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def product_formula_check(
-    m: Sequence[int],
-    n: int,
-    z: Sequence[complex],
-    max_eigenvalues: int = MAX_EIGENVALUES,
-) -> tuple[float, float]:
+def product_formula_check(m: Sequence[int], n: int, z: Sequence[complex]) -> tuple[float, float]:
     """log of both sides of the root-splitting determinant identity
 
         F_{(m_1 n, ..., m_d n)}(z) = prod over all root tuples u_i^{m_i} = z_i
                                      of F_{(n, ..., n)}(u_1, ..., u_d).
 
     Returns (log lhs, log rhs); the identity is exact, so the two must
-    agree to float accumulation error.
+    agree to float accumulation error.  The cap bounds the prod(m_i) root
+    tuples as well as the product torus.
     """
     m = tuple(int(x) for x in m)
     if any(x < 1 for x in m) or n < 1:
         raise PreconditionError("m entries and n must be positive integers")
-    z = tuple(complex(w) for w in z)
-    if len(z) != len(m):
-        raise PreconditionError("need one twist per direction")
-    if math.prod(mi * n for mi in m) > max_eigenvalues:
+    if math.prod(mi * n for mi in m) > MAX_EIGENVALUES:
         raise PreconditionError("product torus above the eigenvalue cap")
 
     lhs = log_f(tuple(mi * n for mi in m), z)
 
-    lam = []
-    for w in z:
-        turns = cmath.phase(w) / (2.0 * math.pi)
-        lam.append(turns - math.floor(turns))
+    lam = [_holonomy_of_row((w,)) for w in z]
     rhs = 0.0
     for ks in np.ndindex(*m):
         roots = [

@@ -53,10 +53,6 @@ class UnitWeight:
     def __post_init__(self):
         object.__setattr__(self, "value", _coerce_unit(self.value))
 
-    @staticmethod
-    def from_turns(turns: float) -> "UnitWeight":
-        return UnitWeight(cmath.exp(2j * math.pi * turns))
-
 
 @dataclass(frozen=True)
 class LineBundleGraph:
@@ -162,6 +158,7 @@ class TorusBundleSpec:
 
     @cached_property
     def holonomies(self) -> tuple[float, ...]:
+        """Per-direction holonomy in [0, 1): arg(prod of weights) / 2 pi."""
         return tuple(_holonomy_of_row(row) for row in self.weights)
 
     @property
@@ -175,11 +172,6 @@ def _holonomy_of_row(row: Sequence[complex]) -> float:
     if lam >= 1.0:  # ties at a full turn map to 0
         lam = 0.0
     return lam
-
-
-def holonomies(spec: TorusBundleSpec) -> tuple[float, ...]:
-    """Per-direction holonomy in [0, 1): arg(prod of weights) / 2 pi."""
-    return spec.holonomies
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,6 +21,7 @@ import sys
 from pathlib import Path
 
 from .asymptotics import (
+    DENSE_CROSSCHECK_DIM,
     TorusFamily,
     log_det,
     log_det_lu,
@@ -42,8 +43,6 @@ from .zeta import (
     lattice_zeta,
     torus_zeta,
 )
-
-DETLOG_LU_MAX_DIM = 2000
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -145,7 +144,7 @@ def _cmd_detlog(args) -> dict:
         "eigen_logdet": log_det(spec),
         "holonomies": list(spec.holonomies),
     }
-    if spec.vertex_count <= DETLOG_LU_MAX_DIM:
+    if spec.vertex_count <= DENSE_CROSSCHECK_DIM:
         result["lu_logdet"] = log_det_lu(spec)
     return result
 
@@ -166,51 +165,6 @@ def _cmd_crsf_check(args) -> dict:
     }
 
 
-def _cmd_zeta(args) -> dict:
-    quad = _quad_spec(args)
-    kind = args.kind
-    if kind == "cd":
-        if args.d is None:
-            raise PreconditionError("cd needs --d")
-        value, err = lattice_constant_eval(args.d, quad)
-        return {"value": value, "error_estimate": err, "method": "integral_split"}
-    if kind == "zd":
-        if args.d is None or args.s is None:
-            raise PreconditionError("zd needs --d and --s")
-        res = lattice_zeta(float(args.s.real), args.d, quad)
-        return {"value": res.value, "error_estimate": res.error_estimate, "method": res.method}
-    if kind == "eh":
-        if args.s is None:
-            raise PreconditionError("eh needs --s")
-        spec = _continuum_from_args(args)
-        res = epstein_hurwitz_zeta(float(args.s.real), spec, quad=quad)
-        return {"value": res.value, "error_estimate": res.error_estimate, "method": res.method}
-    if kind == "eh-deriv0":
-        spec = _continuum_from_args(args)
-        res = epstein_hurwitz_deriv0(spec, quad=quad)
-        return {"value": res.value, "error_estimate": res.error_estimate, "method": res.method}
-    if kind == "kronecker":
-        if args.alpha is None or args.lam is None or len(args.alpha) != 2 or len(args.lam) != 2:
-            raise PreconditionError("kronecker needs --alpha a1,a2 and --lambda l1,l2")
-        value = kronecker_deriv0(args.alpha[0], args.alpha[1], args.lam[0], args.lam[1])
-        return {
-            "value": value,
-            "error_estimate": 1e-12 * (1.0 + abs(value)),
-            "method": "kronecker_d2",
-        }
-    if kind == "gn":
-        if args.s is None:
-            raise PreconditionError("gn needs --s")
-        spec = _torus_from_args(args)
-        value = torus_zeta(args.s, spec)
-        return {
-            "value": _format_value(value),
-            "error_estimate": 1e-12 * (1.0 + abs(value)),
-            "method": "eigensum",
-        }
-    raise PreconditionError(f"unknown zeta kind {kind!r}")
-
-
 def _family_from_args(args) -> TorusFamily:
     if args.lam is None:
         raise PreconditionError("need --lambda for the family holonomies")
@@ -225,39 +179,65 @@ def _family_from_args(args) -> TorusFamily:
     return TorusFamily.from_multipliers((1.0,) * args.d, args.lam)
 
 
-def _cmd_asymptotics(args) -> dict:
-    kind = args.kind
-    if kind == "thm11":
-        if args.ns is None:
-            raise PreconditionError("thm11 needs --ns")
-        series = logdet_limit_residuals(_family_from_args(args), args.ns)
-        return {
-            "columns": ["n", "residual"],
-            "rows": [[n, r] for n, r in zip(series.ns, series.residuals)],
-            "slope": series.slope,
-        }
-    if kind == "thm13":
-        if args.ns is None or args.s is None:
-            raise PreconditionError("thm13 needs --ns and --s")
-        series = zeta_limit_residuals(_family_from_args(args), float(args.s.real), args.ns)
-        return {
-            "columns": ["n", "residual"],
-            "rows": [[n, r] for n, r in zip(series.ns, series.residuals)],
-            "slope": series.slope,
-        }
-    if kind == "theta-gap":
-        if args.ns is None:
-            raise PreconditionError("theta-gap needs --ns")
-        t = args.t if args.t is not None else 1.0
-        family = _family_from_args(args)
-        rows = [[n, rescaled_theta_gap(family, n, t)] for n in args.ns]
-        return {"columns": ["n", "gap"], "rows": rows, "t": t}
-    if kind == "product-formula":
-        if args.m is None or args.n is None or args.z is None:
-            raise PreconditionError("product-formula needs --m, --n and --z")
-        lhs, rhs = product_formula_check(args.m, args.n, args.z)
-        return {"log_lhs": lhs, "log_rhs": rhs, "abs_err": abs(lhs - rhs)}
-    raise PreconditionError(f"unknown asymptotics kind {kind!r}")
+def _estimate(value, error_estimate: float, method: str) -> dict:
+    return {"value": _format_value(value), "error_estimate": error_estimate, "method": method}
+
+
+def _evaluation(res) -> dict:
+    return _estimate(res.value, res.error_estimate, res.method)
+
+
+def _nominal(value, method: str) -> dict:
+    """Report with the fixed estimate 1e-12 (1 + |value|), not a computed one."""
+    return _estimate(value, 1e-12 * (1.0 + abs(value)), method)
+
+
+def _series(series) -> dict:
+    rows = [[n, r] for n, r in zip(series.ns, series.residuals)]
+    return {"columns": ["n", "residual"], "rows": rows, "slope": series.slope}
+
+
+def _kronecker(args) -> dict:
+    if args.alpha is None or args.lam is None or len(args.alpha) != 2 or len(args.lam) != 2:
+        raise PreconditionError("kronecker needs --alpha a1,a2 and --lambda l1,l2")
+    return _nominal(kronecker_deriv0(args.alpha[0], args.alpha[1], args.lam[0], args.lam[1]), "kronecker_d2")
+
+
+def _theta_gap(args) -> dict:
+    t = args.t if args.t is not None else 1.0
+    family = _family_from_args(args)
+    return {"columns": ["n", "gap"], "rows": [[n, rescaled_theta_gap(family, n, t)] for n in args.ns], "t": t}
+
+
+def _product_formula(args) -> dict:
+    lhs, rhs = product_formula_check(args.m, args.n, args.z)
+    return {"log_lhs": lhs, "log_rhs": rhs, "abs_err": abs(lhs - rhs)}
+
+
+# kind -> (flags it needs, report); zeta reports also take the quadrature spec
+_ZETA_KINDS = {
+    "eh": (("s",), lambda a, q: _evaluation(epstein_hurwitz_zeta(a.s.real, _continuum_from_args(a), quad=q))),
+    "eh-deriv0": ((), lambda a, q: _evaluation(epstein_hurwitz_deriv0(_continuum_from_args(a), quad=q))),
+    "kronecker": ((), lambda a, q: _kronecker(a)),
+    "zd": (("d", "s"), lambda a, q: _evaluation(lattice_zeta(a.s.real, a.d, q))),
+    "gn": (("s",), lambda a, q: _nominal(torus_zeta(a.s, _torus_from_args(a)), "eigensum")),
+    "cd": (("d",), lambda a, q: _estimate(*lattice_constant_eval(a.d, q), "integral_split")),
+}
+_ASYMPTOTICS_KINDS = {
+    "thm11": (("ns",), lambda a: _series(logdet_limit_residuals(_family_from_args(a), a.ns))),
+    "thm13": (("ns", "s"), lambda a: _series(zeta_limit_residuals(_family_from_args(a), a.s.real, a.ns))),
+    "theta-gap": (("ns",), _theta_gap),
+    "product-formula": (("m", "n", "z"), _product_formula),
+}
+
+
+def _run_kind(kinds: dict, args, *context) -> dict:
+    needs, report = kinds[args.kind]
+    if any(getattr(args, dest) is None for dest in needs):
+        flags = [f"--{dest}" for dest in needs]
+        listed = flags[0] if len(flags) == 1 else ", ".join(flags[:-1]) + " and " + flags[-1]
+        raise PreconditionError(f"{args.kind} needs {listed}")
+    return report(args, *context)
 
 
 def _cmd_theta(args) -> dict:
@@ -311,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None, help="quadrature tolerance")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="write the report to this path")
-        p.add_argument("--threads", type=int, default=1, help="max worker threads")
 
     p_detlog = sub.add_parser("detlog", help="log determinant of a torus bundle")
     common(p_detlog)
@@ -320,11 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_crsf)
 
     p_zeta = sub.add_parser("zeta", help="zeta-function evaluations")
-    p_zeta.add_argument("kind", choices=("eh", "eh-deriv0", "kronecker", "zd", "gn", "cd"))
+    p_zeta.add_argument("kind", choices=tuple(_ZETA_KINDS))
     common(p_zeta)
 
     p_asym = sub.add_parser("asymptotics", help="limit-theorem residual tables")
-    p_asym.add_argument("kind", choices=("thm11", "thm13", "theta-gap", "product-formula"))
+    p_asym.add_argument("kind", choices=tuple(_ASYMPTOTICS_KINDS))
     common(p_asym)
 
     p_theta = sub.add_parser("theta", help="theta-function table over a t grid")
@@ -336,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
 _DISPATCH = {
     "detlog": _cmd_detlog,
     "crsf-check": _cmd_crsf_check,
-    "zeta": _cmd_zeta,
-    "asymptotics": _cmd_asymptotics,
+    "zeta": lambda args: _run_kind(_ZETA_KINDS, args, _quad_spec(args)),
+    "asymptotics": lambda args: _run_kind(_ASYMPTOTICS_KINDS, args),
     "theta": _cmd_theta,
 }
 
@@ -345,8 +324,6 @@ _DISPATCH = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     try:
         result = _DISPATCH[args.command](args)
     except PreconditionError as exc:

@@ -30,7 +30,7 @@ from .errors import PreconditionError, SeriesTruncationError
 from .special_functions import bessel_i_complex, bessel_i_scaled, sin_pi
 
 _HEAT_TERM_CAP = 100_000
-_REL_TAIL = 1e-15
+_PROGRESSION_TERM_CAP = 400
 
 
 @dataclass(frozen=True)
@@ -138,9 +138,7 @@ def heat_kernel_column(spec: TorusBundleSpec, t: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def bessel_progression_sides(
-    n: int, z: complex, t: complex, k_max: int = 400
-) -> tuple[complex, complex]:
+def bessel_progression_sides(n: int, z: complex, t: complex) -> tuple[complex, complex]:
     """Both sides of  sum_k t^{kn} I_{kn}(z)
                       = (1/n) sum_j exp((z/2)(e^{2 pi i j/n}/t + t e^{-2 pi i j/n})).
 
@@ -157,7 +155,7 @@ def bessel_progression_sides(
     lhs = bessel_i_complex(0, z)
     scale = abs(lhs)
     converged = False
-    for k in range(1, k_max + 1):
+    for k in range(1, _PROGRESSION_TERM_CAP + 1):
         order = k * n
         bes = bessel_i_complex(order, z)
         lhs += bes * (t**order + t**-order)
@@ -174,7 +172,7 @@ def bessel_progression_sides(
                     break
     if not converged:
         raise SeriesTruncationError(
-            f"progression series not converged within k_max = {k_max} terms"
+            f"progression series not converged within {_PROGRESSION_TERM_CAP} terms"
         )
 
     rhs = 0.0 + 0.0j

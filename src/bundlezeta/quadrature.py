@@ -8,11 +8,8 @@ caller declares:
 * exponential decay ``f ~ e^{-c t}``:  t = T - log(v)/c,
 * power decay       ``f ~ t^{-p}``  :  t = T * v^{-1/(p-1)}  (p > 1).
 
-An integrable power behavior ``f ~ (t - lower)^beta`` (beta > -1) at the
-lower endpoint can be declared as well; the first unit segment is then
-rectified by ``t = lower + u^{1/(1+beta)}``, which removes the singularity
-exactly.  Non-convergence always raises; a value is never silently
-returned with an unmet tolerance.
+Non-convergence always raises; a value is never silently returned with an
+unmet tolerance.
 """
 
 from __future__ import annotations
@@ -61,14 +58,12 @@ class QuadratureSpec:
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     max_subdivisions: int = 4000
-    split_points: tuple[float, ...] = ()
 
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise PreconditionError("quadrature tolerances must be positive")
         if self.max_subdivisions < 1:
             raise PreconditionError("max_subdivisions must be >= 1")
-        object.__setattr__(self, "split_points", tuple(self.split_points))
 
 
 @dataclass(frozen=True)
@@ -132,23 +127,9 @@ def integrate_interval(f, a: float, b: float, spec: QuadratureSpec | None = None
         raise PreconditionError("integrate_interval needs finite endpoints")
     if a == b:
         return QuadratureResult(0.0, 0.0, 0)
-    edges = [a]
-    for p in sorted(spec.split_points):
-        if a < p < b:
-            edges.append(p)
-    edges.append(b)
-
-    heap = []
-    total = 0.0
-    total_err = 0.0
-    evals = 0
-    for left, right in zip(edges, edges[1:]):
-        val, err = _kronrod_panel(f, left, right)
-        evals += 15
-        total += val
-        total_err += err
-        heapq.heappush(heap, (-err, left, right, val))
-
+    total, total_err = _kronrod_panel(f, a, b)
+    heap = [(-total_err, a, b, total)]
+    evals = 15
     splits = 0
     while total_err > max(spec.abs_tol, spec.rel_tol * abs(total)):
         if splits >= spec.max_subdivisions:
@@ -191,53 +172,24 @@ def integrate_semi_infinite(
     lower: float,
     spec: QuadratureSpec | None = None,
     tail: TailRule | None = None,
-    singular_exponent: float | None = None,
 ) -> QuadratureResult:
     """Integral of f over [lower, infinity).
 
     ``tail`` declares the decay class at infinity (defaults to exponential
-    with rate 1).  ``singular_exponent`` beta declares integrable power
-    behavior (t-lower)^beta, beta in (-1, 0), at the lower endpoint.
+    with rate 1).
     """
     spec = spec or QuadratureSpec()
     tail = tail or TailRule("exp", 1.0)
     if lower < 0 or not math.isfinite(lower):
         raise PreconditionError("lower limit must be finite and >= 0")
-    if singular_exponent is not None and not (-1.0 < singular_exponent < 1.0):
-        raise PreconditionError("singular_exponent must lie in (-1, 1)")
 
     cut = _tail_cut(lower, tail)
     sub_spec = QuadratureSpec(
         abs_tol=spec.abs_tol / 3.0,
         rel_tol=spec.rel_tol / 2.0,
         max_subdivisions=spec.max_subdivisions,
-        split_points=spec.split_points,
     )
-
-    value = 0.0
-    error = 0.0
-    evals = 0
-    start = lower
-
-    if singular_exponent is not None and singular_exponent != 0.0:
-        beta = singular_exponent
-        seg_end = min(lower + 1.0, cut)
-        gamma = 1.0 / (1.0 + beta)
-
-        def rectified(u, _f=f, _lo=lower, _g=gamma):
-            return _f(_lo + u**_g) * _g * u ** (_g - 1.0)
-
-        res = integrate_interval(rectified, 0.0, (seg_end - lower) ** (1.0 + beta), sub_spec)
-        value += res.value
-        error += res.error_estimate
-        evals += res.evaluations
-        start = seg_end
-
-    if start < cut:
-        res = integrate_interval(f, start, cut, sub_spec)
-        value += res.value
-        error += res.error_estimate
-        evals += res.evaluations
+    head = integrate_interval(f, lower, cut, sub_spec)
 
     if tail.kind == "exp":
         c = tail.rate
@@ -254,9 +206,9 @@ def integrate_semi_infinite(
             return _f(t) * _e * _T * v ** (-_e - 1.0)
 
     res = integrate_interval(tail_integrand, 0.0, 1.0, sub_spec)
-    value += res.value
-    error += res.error_estimate
-    evals += res.evaluations
+    value = head.value + res.value
+    error = head.error_estimate + res.error_estimate
+    evals = head.evaluations + res.evaluations
 
     if error > max(spec.abs_tol, spec.rel_tol * abs(value)):
         raise QuadratureError(

@@ -10,9 +10,9 @@ heat-kernel sums never overflow.  Branch layout:
 * otherwise             -- backward (Miller) recurrence normalised with
                            ``e^{-x}(I_0 + 2 sum_{k>=1} I_k) = 1``.
 
-Hurwitz zeta uses Euler-Maclaurin with a fixed Bernoulli table, accurate to
-full double precision for real ``s`` in roughly ``[-6, 8]`` away from the
-pole at 1, which comfortably covers the strip this package needs.
+Hurwitz zeta uses Euler-Maclaurin with a fixed Bernoulli table; for real
+``s`` in ``[0.25, 8]`` away from the pole at 1 its error stays at a few
+rounding units of the terms summed (measured range in ``hurwitz_zeta``).
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ import math
 import numpy as np
 
 from .errors import PreconditionError, SeriesTruncationError
-
-_LOG_2PI = math.log(2.0 * math.pi)
 
 # B_2, B_4, ..., B_24 as exact fractions evaluated in double precision.
 _BERNOULLI_EVEN = (
@@ -53,13 +51,6 @@ def sin_pi(x: float) -> float:
     r = x - n
     s = math.sin(math.pi * r)
     return -s if n % 2 else s
-
-
-def cos_pi(x: float) -> float:
-    n = round(x)
-    r = x - n
-    c = math.cos(math.pi * r)
-    return -c if n % 2 else c
 
 
 # ---------------------------------------------------------------------------
@@ -303,15 +294,8 @@ def log_bessel_i0_scaled(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Hurwitz zeta and gamma helpers
+# Hurwitz zeta and reciprocal gamma
 # ---------------------------------------------------------------------------
-
-
-def log_gamma(x: float) -> float:
-    """log |Gamma(x)| for x > 0 (the only range the package needs)."""
-    if x <= 0:
-        raise PreconditionError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def reciprocal_gamma(s: float) -> float:
@@ -327,8 +311,14 @@ def reciprocal_gamma(s: float) -> float:
 def hurwitz_zeta(s: float, a: float) -> float:
     """Hurwitz zeta(s, a) for real s != 1 and a > 0 (Euler-Maclaurin).
 
-    Accurate to ~1e-13 relative for s in [-6, 8]; the package exercises
-    s in [-2, 4] plus shifted-tail arguments with large a.
+    Measured against 40-digit mpmath for a in [0.01, 65]: for s in
+    [0.25, 8] the error is within 1e-14 relative, or 5e-15 absolute where
+    zeta(s, a) is near a zero in s (1.7e-13 relative at s = 0.5, a = 0.3,
+    where the value is 0.011).  Below s = 0 the explicit sum cancels: the
+    worst relative error is 1.7e-13 at s = -0.25, 1.1e-12 at -1, 3.7e-11
+    at -2 and 1.2e-4 at -6.  Every call in the package has s > 0; those
+    above s = 8 (binomial tails of the lattice sums, a >= 64) lose more
+    than 1e-13 relative only on values below 1e-40.
     """
     if s == 1.0:
         raise PreconditionError("hurwitz_zeta has a pole at s = 1")
@@ -354,8 +344,3 @@ def hurwitz_zeta(s: float, a: float) -> float:
         power *= inv_big2
         fact *= (2.0 * j + 1.0) * (2.0 * j + 2.0)
     return total
-
-
-def hurwitz_zeta_deriv0(a: float) -> float:
-    """d/ds zeta(s, a) at s = 0, via the log-gamma identity."""
-    return log_gamma(a) - 0.5 * _LOG_2PI

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle_graph import MAX_EIGENVALUES, TorusBundleSpec, torus_eigenvalues
+from .bundle_graph import TorusBundleSpec, torus_eigenvalues
 from .errors import PreconditionError
 from .heat_theta import ContinuousTorusSpec, theta_continuous, theta_continuous_minus_leading
 from .quadrature import QuadratureSpec, TailRule, integrate_interval, integrate_semi_infinite
@@ -34,12 +34,11 @@ from .special_functions import (
     hurwitz_zeta,
     log_bessel_i0_scaled,
     reciprocal_gamma,
-    sin_pi,
 )
 
 EULER_GAMMA = 0.57721566490153286060651209008240243
 
-ZETA_METHODS = ("eigensum", "integral_split", "closed_form_d1", "kronecker_d2", "poisson_dual")
+ZETA_METHODS = ("eigensum", "integral_split", "poisson_dual")
 
 
 @dataclass(frozen=True)
@@ -243,39 +242,19 @@ def epstein_hurwitz_zeta(
     return ZetaEvaluation(value, err, "integral_split")
 
 
-def epstein_hurwitz_deriv0(
-    spec: ContinuousTorusSpec,
-    method: str = "auto",
-    quad: QuadratureSpec | None = None,
-) -> ZetaEvaluation:
-    """d/ds at s = 0 of the continuum spectral zeta.
-
-    The default route integrates the theta function:
+def epstein_hurwitz_deriv0(spec: ContinuousTorusSpec, quad: QuadratureSpec | None = None) -> ZetaEvaluation:
+    """d/ds at s = 0 of the continuum spectral zeta, by the theta integral
 
         int_1^inf theta(t) dt/t
         + int_0^1 (theta(t) - prod(alpha) (4 pi t)^{-d/2}) dt/t
         - (2/d) prod(alpha) (4 pi)^{-d/2},
 
     with the middle integrand assembled from the Poisson-dual series so it
-    is a sum of exponentially small terms.  Closed forms are available as
-    ``closed_form_d1`` and ``kronecker_d2``.
+    is a sum of exponentially small terms.  In dimension two
+    ``kronecker_deriv0`` is the independent closed form.
     """
     _require_nontrivial(spec)
     d = spec.d
-    if method == "closed_form_d1":
-        if d != 1:
-            raise PreconditionError("closed_form_d1 needs a one-dimensional spec")
-        lam = spec.canonical_lam()[0]
-        value = -2.0 * (math.log(sin_pi(lam)) + math.log(2.0))
-        return ZetaEvaluation(value, 1e-14 * (1.0 + abs(value)), "closed_form_d1")
-    if method == "kronecker_d2":
-        if d != 2:
-            raise PreconditionError("kronecker_d2 needs a two-dimensional spec")
-        value = kronecker_deriv0(spec.alpha[0], spec.alpha[1], spec.lam[0], spec.lam[1])
-        return ZetaEvaluation(value, 1e-12 * (1.0 + abs(value)), "kronecker_d2")
-    if method not in ("auto", "poisson_dual"):
-        raise PreconditionError(f"unknown method {method!r} for epstein_hurwitz_deriv0")
-
     quad = quad or QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11, max_subdivisions=8000)
     leading = math.prod(spec.alpha) * (4.0 * math.pi) ** (-0.5 * d)
     rate = 4.0 * math.pi**2 * _min_frequency(spec)
@@ -416,12 +395,11 @@ def lattice_zeta_deriv0(d: int, quad: QuadratureSpec | None = None) -> ZetaEvalu
 # ---------------------------------------------------------------------------
 
 
-def torus_zeta(s: complex, spec: TorusBundleSpec, max_terms: int = MAX_EIGENVALUES) -> complex:
-    """Entire spectral zeta sum over the closed-form torus eigenvalues."""
-    if spec.vertex_count > max_terms:
-        raise PreconditionError(
-            f"torus has {spec.vertex_count} eigenvalues, above cap {max_terms}"
-        )
+def torus_zeta(s: complex, spec: TorusBundleSpec) -> complex:
+    """Entire spectral zeta sum over the closed-form torus eigenvalues.
+
+    ``torus_eigenvalues`` refuses above ``MAX_EIGENVALUES`` before allocating.
+    """
     if all(l == 0.0 for l in spec.holonomies):
         raise PreconditionError(
             "trivial bundle has a zero eigenvalue; the spectral zeta sum is refused"
@@ -430,10 +408,3 @@ def torus_zeta(s: complex, spec: TorusBundleSpec, max_terms: int = MAX_EIGENVALU
     if evs[0] <= 0.0:
         raise PreconditionError("nonpositive eigenvalue encountered")
     return complex(np.exp(-complex(s) * np.log(evs)).sum())
-
-
-def torus_zeta_deriv0(spec: TorusBundleSpec) -> float:
-    """Derivative at 0: minus the log determinant of the bundle Laplacian."""
-    from .asymptotics import log_det  # asymptotics imports this module
-
-    return -log_det(spec)

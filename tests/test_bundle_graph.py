@@ -12,7 +12,6 @@ from bundlezeta.bundle_graph import (
     TorusBundleSpec,
     UnitWeight,
     build_torus,
-    holonomies,
     laplacian,
     line_spectrum,
     load_spec_file,
@@ -52,7 +51,7 @@ def test_build_three_cycle_with_twist():
     g = build_torus(spec)
     assert g.vertex_count == 3
     assert len(g.edges) == 3
-    assert holonomies(spec) == (0.5,)
+    assert spec.holonomies == (0.5,)
 
 
 def test_build_single_vertex_self_loop():
@@ -100,15 +99,15 @@ def test_torus_cap_refused():
 
 
 def test_holonomy_examples():
-    assert holonomies(TorusBundleSpec(1, (3,), [(1, 1, -1)])) == (0.5,)
-    assert holonomies(TorusBundleSpec(1, (3,), [(1, 1, 1)])) == (0.0,)
+    assert TorusBundleSpec(1, (3,), [(1, 1, -1)]).holonomies == (0.5,)
+    assert TorusBundleSpec(1, (3,), [(1, 1, 1)]).holonomies == (0.0,)
     spec = TorusBundleSpec(1, (2,), [(unit(0.1), unit(0.35))])
-    assert holonomies(spec)[0] == pytest.approx(0.45, abs=1e-14)
+    assert spec.holonomies[0] == pytest.approx(0.45, abs=1e-14)
 
 
 def test_holonomy_wraps_into_unit_interval():
     spec = TorusBundleSpec(1, (2,), [(unit(0.7), unit(0.8))])
-    lam = holonomies(spec)[0]
+    lam = spec.holonomies[0]
     assert 0.0 <= lam < 1.0
     assert lam == pytest.approx(0.5, abs=1e-13)
 
@@ -256,8 +255,8 @@ def test_only_holonomies_matter_for_spectrum():
         last = li - turns.sum()
         rows.append([unit(t) for t in turns] + [unit(last)])
     spec2 = TorusBundleSpec(2, a, rows)
-    assert holonomies(spec2)[0] == pytest.approx(lam[0], abs=1e-12)
-    assert holonomies(spec2)[1] == pytest.approx(lam[1], abs=1e-12)
+    assert spec2.holonomies[0] == pytest.approx(lam[0], abs=1e-12)
+    assert spec2.holonomies[1] == pytest.approx(lam[1], abs=1e-12)
     e1 = torus_eigenvalues(spec1)
     e2 = torus_eigenvalues(spec2)
     d1 = laplacian(build_torus(spec1)).eigenvalues()
@@ -282,7 +281,7 @@ def test_parse_torus_spec_roundtrip():
     }
     spec = parse_torus_spec(data)
     assert spec.a == (2, 2)
-    assert holonomies(spec) == (0.5, 0.5)
+    assert spec.holonomies == (0.5, 0.5)
 
 
 def test_parse_rejects_unknown_fields():
@@ -310,4 +309,4 @@ def test_load_spec_file_dispatch(tmp_path):
     q.write_text('{"dimension": 1, "sides": [3], "weights": [[1, 1, {"angle": 0.5}]]}')
     spec = load_spec_file(q)
     assert isinstance(spec, TorusBundleSpec)
-    assert holonomies(spec) == (0.5,)
+    assert spec.holonomies == (0.5,)

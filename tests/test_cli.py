@@ -246,7 +246,7 @@ def test_theta_table_continuous(capsys):
     )
     assert code == 0
     val = rep["result"]["rows"][0][1]
-    assert val == pytest.approx(2.0 * math.exp(-math.pi**2 * 4.0), rel=1e-6)
+    assert val == pytest.approx(2.0 * math.exp(-math.pi**2 * 4.0), rel=1e-6, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -263,24 +263,14 @@ def test_json_report_roundtrips_byte_identical(capsys):
 
 def test_output_file_and_threads_flag(capsys, tmp_path):
     target = tmp_path / "report.json"
-    code = main(
-        [
-            "detlog",
-            "--d",
-            "1",
-            "--a",
-            "3",
-            "--lambda",
-            "0.5",
-            "--out",
-            str(target),
-            "--threads",
-            "4",
-        ]
-    )
+    code = main(["detlog", "--d", "1", "--a", "3", "--lambda", "0.5", "--out", str(target)])
     assert code == 0
     rep = json.loads(target.read_text())
     assert rep["result"]["eigen_logdet"] == pytest.approx(math.log(4.0), abs=1e-10)
+    # --threads did nothing and is gone: argparse refuses it with exit code 2
+    with pytest.raises(SystemExit) as exc:
+        main(["detlog", "--d", "1", "--a", "3", "--lambda", "0.5", "--threads", "4"])
+    assert exc.value.code == 2
 
 
 def test_csv_floats_17_digits(capsys):

