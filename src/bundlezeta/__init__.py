@@ -2,7 +2,7 @@
 
 Builds bundle Laplacians and their closed-form spectra, enumerates
 cycle-rooted spanning forests against the determinant identity, evaluates
-heat kernels and theta functions with certified truncations, and carries
+heat kernels and theta functions in spectral and Bessel forms, and carries
 the Epstein-Hurwitz / lattice zeta machinery needed to reproduce the
 determinant and spectral-zeta limit theorems numerically.
 """

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bundle_graph import MAX_EIGENVALUES, TorusBundleSpec, _holonomy_of_row, build_torus, laplacian, line_spectrum, outer_spectrum
+from .bundle_graph import MAX_EIGENVALUES, TorusBundleSpec, _holonomy_of_row, _refuse_trivial, build_torus, laplacian, line_spectrum, outer_spectrum
 from .errors import PreconditionError
 from .heat_theta import ContinuousTorusSpec, theta_continuous, theta_discrete, theta_discrete_minus_leading
 from .quadrature import QuadratureSpec, TailRule, integrate_interval, integrate_semi_infinite
@@ -132,16 +132,15 @@ def log_det(spec: TorusBundleSpec) -> float:
     ``math.fsum``: O(N / a_max) time and memory, no N-element array.
     ``torus_eigenvalues`` stays the independent route (sum of N logs).
     """
-    if all(l == 0.0 for l in spec.holonomies):
-        raise PreconditionError("trivial bundle: zero eigenvalue, use log_det_star")
+    _refuse_trivial(spec)
     return _sum_logs(_line_log_dets(*_collapse(spec)))
 
 
-def log_det_lu(spec: TorusBundleSpec, max_dimension: int = DENSE_CROSSCHECK_DIM) -> float:
+def log_det_lu(spec: TorusBundleSpec) -> float:
     """Independent LU route through the dense assembled Laplacian."""
-    if spec.vertex_count > max_dimension:
+    if spec.vertex_count > DENSE_CROSSCHECK_DIM:
         raise PreconditionError(
-            f"dense LU cross-check capped at dimension {max_dimension}"
+            f"dense LU cross-check capped at dimension {DENSE_CROSSCHECK_DIM}"
         )
     sign, logabs = laplacian(build_torus(spec)).slogdet()
     if abs(sign - 1.0) > 1e-6:
@@ -156,7 +155,7 @@ def log_det_star(spec: TorusBundleSpec) -> float:
     one line holding the zero eigenvalue, and its nonzero eigenvalues
     multiply to prod_{j=1}^{a-1} 4 sin^2(pi j / a) = a^2.
     """
-    if any(l != 0.0 for l in spec.holonomies):
+    if not spec.is_trivial:
         raise PreconditionError("log_det_star is only defined for the trivial bundle")
     x, a, _ = _collapse(spec)
     return _sum_logs(np.append(_line_log_dets(x[1:], a, 0.0), 2.0 * math.log(a)))
@@ -171,7 +170,7 @@ def log_f(sides: Sequence[int], z: Sequence[complex]) -> float:
     if len(z) != len(sides):
         raise PreconditionError("need one twist per direction")
     spec = TorusBundleSpec(len(sides), sides, [[1.0] * (a - 1) + [w] for a, w in zip(sides, z)])
-    if all(l == 0.0 for l in spec.holonomies):
+    if spec.is_trivial:
         return log_det_star(spec)
     return log_det(spec)
 
@@ -200,8 +199,7 @@ def logdet_correction_integral(spec: TorusBundleSpec, quad: QuadratureSpec | Non
     Exactness of the decomposition means this must agree with the
     algebraic route to quadrature accuracy.
     """
-    if all(l == 0.0 for l in spec.holonomies):
-        raise PreconditionError("trivial bundle: decomposition needs a positive spectrum")
+    _refuse_trivial(spec)
     quad = quad or QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9, max_subdivisions=8000)
     d = spec.d
     n_vertices = spec.vertex_count

@@ -161,9 +161,19 @@ class TorusBundleSpec:
         """Per-direction holonomy in [0, 1): arg(prod of weights) / 2 pi."""
         return tuple(_holonomy_of_row(row) for row in self.weights)
 
+    @cached_property
+    def is_trivial(self) -> bool:
+        """Every holonomy is 0, so the spectrum holds the eigenvalue 0."""
+        return all(l == 0.0 for l in self.holonomies)
+
     @property
     def vertex_count(self) -> int:
         return math.prod(self.a)
+
+
+def _refuse_trivial(spec: TorusBundleSpec) -> None:
+    if spec.is_trivial:
+        raise PreconditionError("trivial bundle (every holonomy 0) has a zero eigenvalue; refused")
 
 
 def _holonomy_of_row(row: Sequence[complex]) -> float:
@@ -207,7 +217,7 @@ class HermitianOperator:
         return complex(sign), float(logabs)
 
 
-def build_torus(spec: TorusBundleSpec, max_vertices: int = MAX_DENSE_DIMENSION) -> LineBundleGraph:
+def build_torus(spec: TorusBundleSpec) -> LineBundleGraph:
     """Cayley graph of prod Z/a_i Z with the bundle weights attached.
 
     Vertices are indexed row-major over (x_1, ..., x_d).  Every vertex has
@@ -215,9 +225,9 @@ def build_torus(spec: TorusBundleSpec, max_vertices: int = MAX_DENSE_DIMENSION) 
     side length 1 a self-loop.
     """
     n = spec.vertex_count
-    if n > max_vertices:
+    if n > MAX_DENSE_DIMENSION:
         raise PreconditionError(
-            f"torus has {n} vertices, above the dense-graph cap {max_vertices}"
+            f"torus has {n} vertices, above the dense-graph cap {MAX_DENSE_DIMENSION}"
         )
     strides = [0] * spec.d
     acc = 1
@@ -247,12 +257,12 @@ def build_torus(spec: TorusBundleSpec, max_vertices: int = MAX_DENSE_DIMENSION) 
     return LineBundleGraph(n, edges)
 
 
-def laplacian(graph: LineBundleGraph, max_dimension: int = MAX_DENSE_DIMENSION) -> HermitianOperator:
+def laplacian(graph: LineBundleGraph) -> HermitianOperator:
     """Assemble the dense bundle Laplacian of a unit-weight graph."""
     n = graph.vertex_count
-    if n > max_dimension:
+    if n > MAX_DENSE_DIMENSION:
         raise PreconditionError(
-            f"matrix dimension {n} above the configured cap {max_dimension}"
+            f"matrix dimension {n} above the dense cap {MAX_DENSE_DIMENSION}"
         )
     m = np.zeros((n, n), dtype=complex)
     for tail, head, w in graph.edges:

@@ -65,8 +65,14 @@ def _walk(n_vertices: int, endpoints: tuple[tuple[int, int], ...]) -> _Walk:
     inside a component closes the cycle 4^e + pot[a] - pot[b], one key per
     cycle since e is its highest edge.  Branches are cut when fewer edges
     remain than acyclic components or an acyclic component has no later edge.
+    Refuses above ``DEFAULT_EDGE_CAP`` edges before walking.
     """
     m = len(endpoints)
+    if m > DEFAULT_EDGE_CAP:
+        raise PreconditionError(
+            f"graph has {m} edges, above the enumeration cap "
+            f"{DEFAULT_EDGE_CAP}; refusing CRSF enumeration"
+        )
     power = [4**e for e in range(m)]
     root = list(range(n_vertices))
     pot = [0] * n_vertices
@@ -167,17 +173,8 @@ def _oriented_cycle(endpoints, signed_edges):
     return tuple(steps), tuple(vertices)
 
 
-def _check_cap(graph: LineBundleGraph, edge_cap: int):
-    if len(graph.edges) > edge_cap:
-        raise PreconditionError(
-            f"graph has {len(graph.edges)} edges, above the enumeration cap "
-            f"{edge_cap}; refusing CRSF enumeration"
-        )
-
-
-def enumerate_crsfs(graph: LineBundleGraph, edge_cap: int = DEFAULT_EDGE_CAP) -> Iterator[CRSF]:
+def enumerate_crsfs(graph: LineBundleGraph) -> Iterator[CRSF]:
     """Yield every unoriented CRSF exactly once, in lexicographic edge order."""
-    _check_cap(graph, edge_cap)
     n = graph.vertex_count
     endpoints = graph.edge_endpoints
     walk = _walk(n, endpoints)
@@ -211,13 +208,12 @@ def crsf_weight(forest: CRSF) -> float:
     return acc.real
 
 
-def kenyon_sum(graph: LineBundleGraph, edge_cap: int = DEFAULT_EDGE_CAP) -> float:
+def kenyon_sum(graph: LineBundleGraph) -> float:
     """Weighted CRSF count; equals det of the bundle Laplacian.
 
     Unit-modulus monodromies make every cycle factor 2 - 2 cos(phase); the
     sum runs over the distinct cycle sets, each weighted by its forest count.
     """
-    _check_cap(graph, edge_cap)
     walk = _walk(graph.vertex_count, graph.edge_endpoints)
     phases = np.array([math.atan2(w.imag, w.real) for _, _, w in graph.edges])
     factor = np.append(2.0 - 2.0 * np.cos(walk.incidence @ phases), 1.0)

@@ -1,19 +1,18 @@
 """Heat kernel on bundle tori, and discrete / continuous theta functions.
 
-The heat kernel factorizes over directions.  Writing a for the side
-length, lam for the holonomy and P_x for the product of the first x edge
-weights of a cyclic factor, the one-dimensional kernel is
+The heat kernel and the heat trace factor over directions.  With a the
+side, lam the holonomy, mu_j = 4 sin^2(pi (j + lam) / a) the line spectrum
+and P_x the product of the first x edge weights, a cycle factor is
 
-    K(t, x) = e^{-2t} P_x^{-1} sum_{k in Z} I_{x + k a}(2t) e^{-2 pi i lam k},
+    K(t, x) = P_x e^{-2 pi i lam x / a} / a  sum_j e^{-t mu_j} e^{-2 pi i j x / a}
+            = P_x sum_{k in Z} e^{-2t} I_{|x + k a|}(2t) e^{2 pi i lam k},
 
-with I the modified Bessel function of the first kind (the floor-bracket
-weight exponents collapse to exactly this form).  The trace of e^{-tL}
-equals the product over directions of the closed eigenvalue sums
-
-    theta_i(t) = sum_j exp(-4 t sin^2(pi (j + lam_i) / a_i)),
-
-and the continuum limit theta_inf admits both a spectral (Gaussian-sum)
-form, fast for large t, and a Poisson-dual form, fast for small t.
+and the trace is prod_i theta_i(t), theta_i(t) = sum_j e^{-t mu_j}.  From
+t = a^2 / 8 the spectral form (an FFT) is used, exact to rounding; below
+it the Bessel form, whose dropped orders are bounded a priori, so that the
+tiny entries far from 0 and theta - a e^{-2t} I_0(2t) = O(t^a) keep their
+relative accuracy at small t.  The continuum limit theta_inf has a spectral
+(Gaussian-sum) form for large t and a Poisson-dual form for small t.
 """
 
 from __future__ import annotations
@@ -21,13 +20,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
-from .bundle_graph import TorusBundleSpec
+from .bundle_graph import MAX_EIGENVALUES, TorusBundleSpec, line_spectrum
 from .errors import PreconditionError, SeriesTruncationError
-from .special_functions import bessel_i_complex, bessel_i_scaled, sin_pi
+from .special_functions import bessel_i_complex, bessel_i_scaled, bessel_i_scaled_many
 
 _HEAT_TERM_CAP = 100_000
 _PROGRESSION_TERM_CAP = 400
@@ -73,64 +73,74 @@ class ContinuousTorusSpec:
 # heat kernel
 # ---------------------------------------------------------------------------
 
+_SPECTRAL_FROM = 1.0 / 8.0  # the form rule: spectral from t = a^2 / 8, Bessel below
 
-def _heat_kernel_1d(a: int, lam: float, prefix: complex, t: float, x: int) -> complex:
-    # coefficient of I_{x+ka}(2t) is (prod of the first x weights) e^{2 pi i lam k};
-    # fixed by matching the recurrence of e^{-tL} for the stored orientation
-    two_t = 2.0 * t
-    phase = cmath.exp(2j * math.pi * lam)
-    total = complex(bessel_i_scaled(x, two_t))
-    scale = abs(total)
-    for k in range(1, _HEAT_TERM_CAP):
-        up = bessel_i_scaled(x + k * a, two_t)
-        down = bessel_i_scaled(abs(x - k * a), two_t)
-        total += up * phase**k + down * phase**-k
-        scale += up + down
-        next_min_order = (k + 1) * a - x
-        ratio = t / (next_min_order + 1.0)
-        if ratio < 1.0:
-            tail = 2.0 * bessel_i_scaled(next_min_order, two_t) / (1.0 - ratio)
-            if tail <= 1e-14 * max(scale, 1e-300):
-                return prefix * total
-    raise SeriesTruncationError(
-        f"heat kernel series did not certify its tail within {_HEAT_TERM_CAP} terms"
-    )
+
+def _last_order(t: float, m: int, start: int) -> int:
+    """Smallest M >= start with sum_{n > M} e^{-2t} I_n(2t) <= 2^-60 e^{-2t} I_m(2t), m <= start.
+
+    A priori at every t, from I_{n+1}(x) / I_n(x) <= x / (n + 1/2 + sqrt((n + 1/2)^2 + x^2))
+    (Amos 1974), which falls with n, so the tail is geometric past M.
+    """
+    x, bound, last = 2.0 * t, 1.0, m - 1
+    while True:
+        ratio = x / (last + 1.5 + math.hypot(last + 1.5, x))
+        if bound <= 2.0**-60 * (1.0 - ratio):
+            return max(last, start)
+        bound *= ratio
+        last += 1
+
+
+def _line_column(a: int, lam: float, t: float) -> np.ndarray:
+    """K_1(t, x), x = 0..a-1, of the cycle of side a and holonomy lam, in the form the rule picks."""
+    if t >= _SPECTRAL_FROM * a * a:
+        twist = np.exp(-2j * np.pi * lam * np.arange(a) / a) / a
+        return np.fft.fft(np.exp(-t * line_spectrum(a, lam))) * twist
+    last = _last_order(t, a // 2, a)
+    wraps = last // a + 1
+    values = np.zeros((wraps + 1) * a)
+    values[: last + 1] = bessel_i_scaled_many(last, 2.0 * t)
+    k = np.arange(-wraps, wraps + 1)
+    phase = np.exp(2j * np.pi * ((lam * k) % 1.0))
+    return (values[np.abs(np.arange(a) + a * k[:, None])] * phase[:, None]).sum(axis=0)
+
+
+def _prefixed_columns(spec: TorusBundleSpec, t: float) -> list[np.ndarray]:
+    """Per direction, K_1(t, x) times the product of the first x edge weights."""
+    if not (t >= 0.0) or math.isinf(t):
+        raise PreconditionError(f"time must be finite and >= 0, got {t}")
+    return [
+        np.cumprod(np.append(1.0 + 0.0j, row[:-1])) * _line_column(a, lam, t)
+        for a, lam, row in zip(spec.a, spec.holonomies, spec.weights)
+    ]
 
 
 def heat_kernel(spec: TorusBundleSpec, t: float, x: Sequence[int]) -> complex:
     """Heat kernel K(t, x) of the bundle Laplacian, x reduced mod the torus.
 
-    K(0, x) is the Kronecker delta at 0; for t > 0 the Bessel series is
-    truncated with a certified geometric tail bound below 1e-14 of the
-    partial sum.
+    One cycle factor per direction: from t = a^2 / 8 the spectral form,
+    exact to rounding; below it the Bessel form, whose dropped orders stay
+    below 2^-59 of the leading term of each entry, so that the tiny entries
+    far from 0 keep their relative accuracy.  K(0, x) is the Kronecker delta.
     """
-    if not (t >= 0.0) or math.isinf(t):
-        raise PreconditionError(f"time must be finite and >= 0, got {t}")
-    coords = [int(c) % ai for c, ai in zip(x, spec.a)]
-    if len(coords) != spec.d:
+    if len(x) != spec.d:
         raise PreconditionError("lattice point has wrong dimension")
     value = 1.0 + 0.0j
-    for i in range(spec.d):
-        prefix = 1.0 + 0.0j
-        for w in spec.weights[i][: coords[i]]:
-            prefix *= w
-        value *= _heat_kernel_1d(spec.a[i], spec.holonomies[i], prefix, t, coords[i])
-    return value
+    for col, a, c in zip(_prefixed_columns(spec, t), spec.a, x):
+        value *= col[int(c) % a]
+    return complex(value)
 
 
 def heat_kernel_column(spec: TorusBundleSpec, t: float) -> np.ndarray:
-    """K(t, x) for every vertex x, row-major; column 0 of e^{-tL}."""
-    shape = spec.a
-    out = np.empty(math.prod(shape), dtype=complex)
-    for idx in range(out.size):
-        rem = idx
-        coords = []
-        for ai in reversed(shape):
-            coords.append(rem % ai)
-            rem //= ai
-        coords.reverse()
-        out[idx] = heat_kernel(spec, t, coords)
-    return out
+    """K(t, x) for every vertex x, row-major; column 0 of e^{-tL}.
+
+    The Kronecker product of the cycle factors; refuses above ``MAX_EIGENVALUES`` entries first.
+    """
+    if spec.vertex_count > MAX_EIGENVALUES:
+        raise PreconditionError(
+            f"{spec.vertex_count} heat-kernel entries requested, above the cap {MAX_EIGENVALUES}"
+        )
+    return reduce(np.kron, _prefixed_columns(spec, t))
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +204,7 @@ def theta_discrete(spec: TorusBundleSpec, t: float) -> float:
         raise PreconditionError(f"time must be >= 0, got {t}")
     value = 1.0
     for ai, li in zip(spec.a, spec.holonomies):
-        evs = np.array([4.0 * sin_pi((j + li) / ai) ** 2 for j in range(ai)])
-        value *= float(np.exp(-t * evs).sum())
+        value *= float(np.exp(-t * line_spectrum(ai, li)).sum())
     return value
 
 
@@ -264,35 +273,23 @@ def theta_continuous(spec: ContinuousTorusSpec, t: float, form: str | None = Non
 def theta_discrete_minus_leading(spec: TorusBundleSpec, t: float) -> float:
     """theta(t) - prod(a_i) (e^{-2t} I_0(2t))^d without cancellation.
 
-    Uses the weighted Bessel form of each factor: with
-    u_i = 2 sum_{k>=1} (I_{k a_i}/I_0)(2t) cos(2 pi k lam_i), the difference
-    is prod(a_i I_0-term) * (prod(1 + u_i) - 1), accumulated so that the
-    O(t^{min a_i}) small-t size is preserved exactly.
+    With u_i = theta_i(t) / (a_i e^{-2t} I_0(2t)) - 1, the difference is
+    prod(a_i e^{-2t} I_0(2t)) * (prod(1 + u_i) - 1), accumulated as
+    q <- q (1 + u) + u.  Below the form threshold u_i comes from the Bessel
+    orders k a_i alone, so its O(t^{a_i}) size keeps full relative accuracy.
     """
     if not (t >= 0.0):
         raise PreconditionError(f"time must be >= 0, got {t}")
-    if t == 0.0:
-        return 0.0
-    two_t = 2.0 * t
-    base = bessel_i_scaled(0, two_t)
+    base = bessel_i_scaled(0, 2.0 * t)
     lead = 1.0
     q = 0.0
     for ai, li in zip(spec.a, spec.holonomies):
         lead *= ai * base
-        u = 0.0
-        for k in range(1, _HEAT_TERM_CAP):
-            term = bessel_i_scaled(k * ai, two_t)
-            if term == 0.0:
-                break
-            u += 2.0 * (term / base) * cos_2pi(k * li)
-            next_order = (k + 1) * ai
-            ratio = t / (next_order + 1.0)
-            if ratio < 1.0:
-                tail = 2.0 * bessel_i_scaled(next_order, two_t) / base / (1.0 - ratio)
-                if tail <= 1e-16 * (1.0 + abs(u)):
-                    break
+        if t >= _SPECTRAL_FROM * ai * ai:
+            u = float(np.exp(-t * line_spectrum(ai, li)).sum()) / (ai * base) - 1.0
         else:
-            raise SeriesTruncationError("Bessel-form theta series did not truncate")
+            orders = range(ai, _last_order(t, ai, ai) + 1, ai)
+            u = 2.0 * sum(bessel_i_scaled(n, 2.0 * t) * cos_2pi(n // ai * li) for n in orders) / base
         q = q * (1.0 + u) + u
     return lead * q
 

@@ -212,22 +212,21 @@ def bessel_i_scaled(order: int, x: float) -> float:
 
 
 def bessel_i_scaled_many(max_order: int, x: float) -> np.ndarray:
-    """Array of e^{-x} I_n(x) for n = 0..max_order at a shared argument."""
+    """Array of e^{-x} I_n(x) for n = 0..max_order at a shared argument (0 past the first underflow)."""
     if max_order < 0:
         raise PreconditionError("max_order must be >= 0")
     if math.isnan(x) or x < 0:
         raise PreconditionError(f"argument must be nonnegative and finite, got {x}")
-    if x == 0.0:
-        out = np.zeros(max_order + 1)
-        out[0] = 1.0
-        return out
+    out = np.zeros(max_order + 1)
     if x <= _SERIES_CUTOFF:
-        return np.array([_bessel_series_scaled(n, x) for n in range(max_order + 1)])
-    low = min(max_order, _DEBYE_MIN_ORDER - 1)
-    out = np.empty(max_order + 1)
-    out[: low + 1] = _bessel_miller_scaled(low, x)
-    for n in range(low + 1, max_order + 1):
-        out[n] = _bessel_debye_scaled(n, x)
+        first, each = 0, _bessel_series_scaled
+    else:
+        first, each = min(max_order + 1, _DEBYE_MIN_ORDER), _bessel_debye_scaled
+        out[:first] = _bessel_miller_scaled(first - 1, x)
+    for n in range(first, max_order + 1):
+        out[n] = each(n, x)
+        if out[n] == 0.0:
+            break
     return out
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle_graph import TorusBundleSpec, torus_eigenvalues
+from .bundle_graph import TorusBundleSpec, _refuse_trivial, torus_eigenvalues
 from .errors import PreconditionError
 from .heat_theta import ContinuousTorusSpec, theta_continuous, theta_continuous_minus_leading
 from .quadrature import QuadratureSpec, TailRule, integrate_interval, integrate_semi_infinite
@@ -138,7 +138,8 @@ def _min_frequency(spec: ContinuousTorusSpec) -> float:
     return sum((min(l, 1.0 - l) / a) ** 2 for a, l in zip(alpha, lam))
 
 
-def _eigensum_d1(s: float, alpha: float, lam: float, explicit: int = 30):
+def _eigensum_d1(s: float, alpha: float, lam: float):
+    explicit = 30
     acc = 0.0
     for k in range(-explicit, explicit + 1):
         acc += abs(k + lam) ** (-2.0 * s)
@@ -400,10 +401,7 @@ def torus_zeta(s: complex, spec: TorusBundleSpec) -> complex:
 
     ``torus_eigenvalues`` refuses above ``MAX_EIGENVALUES`` before allocating.
     """
-    if all(l == 0.0 for l in spec.holonomies):
-        raise PreconditionError(
-            "trivial bundle has a zero eigenvalue; the spectral zeta sum is refused"
-        )
+    _refuse_trivial(spec)
     evs = torus_eigenvalues(spec)
     if evs[0] <= 0.0:
         raise PreconditionError("nonpositive eigenvalue encountered")

@@ -88,9 +88,10 @@ def test_vertex_degree_is_2d_with_small_sides():
 
 
 def test_torus_cap_refused():
-    spec = TorusBundleSpec.single_twist(1, (50,), (0.5,))
-    with pytest.raises(PreconditionError):
-        build_torus(spec, max_vertices=49)
+    # 150^2 = 22500 vertices, above MAX_DENSE_DIMENSION: refused before the edge loop
+    spec = TorusBundleSpec.single_twist(2, (150, 150), (0.5, 0.5))
+    with pytest.raises(PreconditionError, match="dense-graph cap"):
+        build_torus(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 import cmath
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bundlezeta import heat_theta
 from bundlezeta.bundle_graph import TorusBundleSpec, build_torus, laplacian, torus_eigenvalues
 from bundlezeta.errors import PreconditionError
 from bundlezeta.heat_theta import (
@@ -16,6 +18,7 @@ from bundlezeta.heat_theta import (
     theta_continuous,
     theta_continuous_minus_leading,
     theta_discrete,
+    theta_discrete_minus_leading,
 )
 from bundlezeta.special_functions import bessel_i_scaled
 
@@ -87,6 +90,60 @@ def test_heat_kernel_rejects_bad_time():
         heat_kernel(spec, -1.0, (0,))
     with pytest.raises(PreconditionError):
         heat_kernel(spec, math.inf, (0,))
+
+
+def test_heat_kernel_rejects_point_of_wrong_dimension():
+    spec = TorusBundleSpec.single_twist(1, (5,), (0.3,))
+    for x in [(1, 2), ()]:
+        with pytest.raises(PreconditionError, match="wrong dimension"):
+            heat_kernel(spec, 1.0, x)
+
+
+def test_heat_kernel_large_time_against_mpmath():
+    # K(t, 3) is 6e-9, 1e-25 and 1e-241 here: far below the single Bessel terms (~0.01)
+    mpmath = pytest.importorskip("mpmath")
+    a, lam, x = 8, 0.3, 3
+    spec = TorusBundleSpec.single_twist(1, (a,), (lam,))
+    for t in (300.0, 1000.0, 1e4):
+        with mpmath.workdps(40):
+            phases = [(j + mpmath.mpf(lam)) / a for j in range(a)]
+            ref = complex(sum(
+                mpmath.exp(-t * 4 * mpmath.sin(mpmath.pi * p) ** 2 - 2j * mpmath.pi * p * x)
+                for p in phases
+            ) / a)
+        assert abs(heat_kernel(spec, t, (x,)) - ref) <= 1e-11 * abs(ref)
+
+
+def test_line_forms_agree_at_threshold(monkeypatch):
+    # both forms of each cycle factor at the switch t = a^2 / 8
+    for a in (1, 2, 3, 4, 5, 8, 16, 40):
+        t = a * a / 8.0
+        for lam in (0.0, 0.3, 0.5):
+            spec = TorusBundleSpec.single_twist(1, (a,), (lam,))
+            forms = []
+            for spectral_from in (0.0, math.inf):  # every t spectral, then every t Bessel
+                monkeypatch.setattr(heat_theta, "_SPECTRAL_FROM", spectral_from)
+                forms.append((heat_kernel_column(spec, t), theta_discrete_minus_leading(spec, t)))
+            (col_s, gap_s), (col_b, gap_b) = forms
+            assert np.abs(col_s - col_b).max() <= 1e-15
+            assert abs(gap_s - gap_b) <= 1e-13 * abs(gap_b)
+
+
+def test_heat_kernel_column_cap_refused():
+    # 4,002,000 entries: refused before any column is built
+    big = TorusBundleSpec.single_twist(2, (2001, 2000), (0.5, 0.5))
+    with pytest.raises(PreconditionError, match="above the cap"):
+        heat_kernel_column(big, 1.0)
+
+
+def test_heat_kernel_column_40x40_is_fast():
+    spec = TorusBundleSpec.single_twist(2, (40, 40), (0.3, 0.7))
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        heat_kernel_column(spec, 2.0)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +252,7 @@ def test_theta_continuous_large_t_leading_term():
     spec = ContinuousTorusSpec((1.0,), (0.5,))
     for t in (4.0, 6.0):
         expected = 2.0 * math.exp(-math.pi**2 * t)
-        assert theta_continuous(spec, t) == pytest.approx(expected, rel=1e-8)
+        assert theta_continuous(spec, t) == pytest.approx(expected, rel=1e-8, abs=0.0)
 
 
 def test_theta_continuous_small_t_leading_term():
@@ -240,7 +297,7 @@ def test_theta_minus_leading_no_cancellation():
     lead = (1.0 * 2.0) / (4.0 * math.pi * t)
     k1 = 2.0 * math.exp(-1.0 / (4.0 * t)) * math.cos(2.0 * math.pi * 0.3)
     controlled = theta_continuous_minus_leading(spec, t)
-    assert controlled == pytest.approx(lead * k1, rel=1e-8)
+    assert controlled == pytest.approx(lead * k1, rel=1e-8, abs=0.0)
     assert controlled < 0.0  # cos(0.6 pi) < 0 fixes the sign
 
 

@@ -27,7 +27,7 @@ def test_bessel_small_argument_series_oracle():
     assert bessel_i_scaled(0, 2.0) == pytest.approx(0.308508322553671, abs=1e-14)
     for order, x in [(1, 0.5), (4, 3.0), (10, 20.0), (25, 12.0)]:
         expected = bessel_i_series(order, x) * math.exp(-x)
-        assert bessel_i_scaled(order, x) == pytest.approx(expected, rel=1e-12)
+        assert bessel_i_scaled(order, x) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_bessel_range_and_monotonicity_in_order():
@@ -101,7 +101,7 @@ def test_bessel_huge_argument_matches_leading_asymptotics():
     # e^{-x} I_0(x) -> (2 pi x)^{-1/2} (1 + 1/(8x) + ...)
     for x in (1e6, 1e12, 1e20):
         lead = 1.0 / math.sqrt(2.0 * math.pi * x) * (1.0 + 1.0 / (8.0 * x))
-        assert bessel_i_scaled(0, x) == pytest.approx(lead, rel=1e-10)
+        assert bessel_i_scaled(0, x) == pytest.approx(lead, rel=1e-10, abs=0.0)
 
 
 def test_bessel_rejects_bad_input():
@@ -120,7 +120,7 @@ def test_bessel_complex_matches_real_axis():
         for x in (0.5, 1.7, 3.0):
             expected = bessel_i_series(n, x)
             got = bessel_i_complex(n, complex(x))
-            assert got.real == pytest.approx(expected, rel=1e-12)
+            assert got.real == pytest.approx(expected, rel=1e-12, abs=0.0)
             assert abs(got.imag) < 1e-15 * (1 + abs(got.real))
 
 
@@ -136,7 +136,7 @@ def test_log_bessel_i0_scaled_small_and_moderate():
     assert log_bessel_i0_scaled(0.0) == 0.0
     for x in (1e-8, 1e-4):
         # leading Taylor term of log I_0 suffices at this scale
-        assert log_bessel_i0_scaled(x) == pytest.approx(0.25 * x * x - x, rel=1e-12)
+        assert log_bessel_i0_scaled(x) == pytest.approx(0.25 * x * x - x, rel=1e-12, abs=0.0)
     for x in (0.02, 0.09):
         oracle = math.log(bessel_i_series(0, x)) - x
         assert log_bessel_i0_scaled(x) == pytest.approx(oracle, rel=1e-12)
