@@ -229,10 +229,8 @@ def logdet_correction_integral(spec: TorusBundleSpec, quad: QuadratureSpec | Non
 
 def logdet_limit_residuals(family: TorusFamily, ns: Sequence[int]) -> ResidualSeries:
     """r(n) = log det - N(n) c_d + zeta_EH'(0) for the family's limit."""
-    if not family.limit.has_nontrivial_holonomy:
-        raise PreconditionError("family limit violates the nontrivial-holonomy hypothesis")
+    deriv0 = epstein_hurwitz_deriv0(family.limit).value  # refuses a limit with only trivial holonomies
     c_d, _ = _cached_lattice_constant(family.limit.d)
-    deriv0 = epstein_hurwitz_deriv0(family.limit).value
     residuals = []
     for n in ns:
         spec = family.spec(n)
@@ -262,11 +260,8 @@ def zeta_limit_residuals(family: TorusFamily, s: float, ns: Sequence[int]) -> Re
 
 
 def rescaled_theta_gap(family: TorusFamily, n: int, t: float) -> float:
-    """|theta_discrete(n^2 t) - theta_continuous(t)| along the family."""
-    if not t > 0:
-        raise PreconditionError("need t > 0")
-    spec = family.spec(n)
-    return abs(theta_discrete(spec, float(n) ** 2 * t) - theta_continuous(family.limit, t))
+    """|theta_discrete(n^2 t) - theta_continuous(t)| along the family; t finite and > 0."""
+    return abs(theta_continuous(family.limit, t) - theta_discrete(family.spec(n), float(n) ** 2 * t))
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,13 @@ and the trace is prod_i theta_i(t), theta_i(t) = sum_j e^{-t mu_j}.  From
 t = a^2 / 8 the spectral form (an FFT) is used, exact to rounding; below
 it the Bessel form, whose dropped orders are bounded a priori, so that the
 tiny entries far from 0 and theta - a e^{-2t} I_0(2t) = O(t^a) keep their
-relative accuracy at small t.  The continuum limit theta_inf has a spectral
-(Gaussian-sum) form for large t and a Poisson-dual form for small t.
+relative accuracy at small t.
+
+The continuum limit theta_inf factors the same way.  Per direction the
+form rule takes the Poisson-dual Gaussian sum below t = alpha^2 / pi and
+the spectral one from it; both sums run over ranges fixed before any term
+is summed, and a forced form that would need more than ``_GAUSS_TERM_CAP``
+terms refuses instead of truncating.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from .bundle_graph import MAX_EIGENVALUES, TorusBundleSpec, line_spectrum
 from .errors import PreconditionError, SeriesTruncationError
 from .special_functions import bessel_i_complex, bessel_i_scaled, bessel_i_scaled_many
 
-_HEAT_TERM_CAP = 100_000
 _PROGRESSION_TERM_CAP = 400
 
 
@@ -49,8 +53,8 @@ class ContinuousTorusSpec:
         lam = tuple(float(x) for x in lam)
         if len(alpha) != len(lam) or not alpha:
             raise PreconditionError("need matching nonempty alpha and lambda vectors")
-        if any(not (a > 0) for a in alpha):
-            raise PreconditionError("alpha entries must be positive")
+        if any(not (0.0 < a < math.inf) for a in alpha):
+            raise PreconditionError("alpha entries must be positive and finite")
         if any(not (0.0 <= x <= 1.0) for x in lam):
             raise PreconditionError("lambda entries must lie in [0, 1]")
         object.__setattr__(self, "alpha", alpha)
@@ -208,65 +212,83 @@ def theta_discrete(spec: TorusBundleSpec, t: float) -> float:
     return value
 
 
-def _theta_spectral_1d(alpha: float, lam: float, t: float) -> float:
-    rate = 4.0 * (math.pi / alpha) ** 2 * t
-    k0 = int(round(-lam))
-    total = 0.0
-    k = k0
-    while True:  # ascending side
-        term = math.exp(-rate * (k + lam) ** 2)
-        total += term
-        if term < 1e-18 * total and k > k0:
-            break
-        k += 1
-    k = k0 - 1
-    while True:  # descending side
-        term = math.exp(-rate * (k + lam) ** 2)
-        total += term
-        if term < 1e-18 * total:
-            break
-        k -= 1
-    return total
-
-
-def _theta_dual_bracket_1d(alpha: float, lam: float, t: float) -> float:
-    """sum_k e^{-(alpha k)^2/(4t)} cos(2 pi lam k) over k != 0, times 2."""
-    total = 0.0
-    for k in range(1, _HEAT_TERM_CAP):
-        e = -((alpha * k) ** 2) / (4.0 * t)
-        if e < -745.0:
-            break
-        term = math.exp(e) * cos_2pi(lam * k)
-        total += 2.0 * term
-        if abs(math.exp(e)) < 1e-18:
-            break
-    return total
+_DUAL_BELOW = 1.0 / math.pi  # the continuum form rule: Poisson-dual below t = alpha^2 / pi, spectral from it
+_GAUSS_DEPTH = 42.0  # a Gaussian sum keeps every term within e^-42 of its first nonzero one
+_GAUSS_TERM_CAP = 10_000  # a forced form that needs more terms refuses
 
 
 def cos_2pi(x: float) -> float:
-    n = round(x)
-    return math.cos(2.0 * math.pi * (x - n))
+    """cos(2 pi x), reduced on x itself and exactly 0 at the quarter turns."""
+    return math.sin(math.pi * (0.5 - 2.0 * abs(x - round(x))))
+
+
+def _first_order(lam: float) -> int:
+    """The first k >= 1 with cos(2 pi lam k) != 0: 2 at the quarter turns 1/4 and 3/4, 1 elsewhere."""
+    return 2 if lam in (0.25, 0.75) else 1
+
+
+def _refusal(form: str, t: float) -> PreconditionError:
+    return PreconditionError(
+        f"the {form} form of theta_continuous at t = {t} needs more terms than the cap "
+        f"{_GAUSS_TERM_CAP}; the form rule (form=None) needs a few"
+    )
+
+
+def _spectral_1d(alpha: float, lam: float, t: float) -> float:
+    """sum_k e^{-r (k + c)^2}, r = 4 pi^2 t / alpha^2, c = lam - round(lam),
+    over exactly the k with r (k + c)^2 <= r c^2 + 42."""
+    c = lam - round(lam)
+    w = 2.0 * math.pi / alpha
+    half = math.hypot(c, math.sqrt(_GAUSS_DEPTH / t) / w)
+    if not 2.0 * half < _GAUSS_TERM_CAP:
+        raise _refusal("spectral", t)
+    total = 0.0
+    for k in range(math.ceil(-c - half), math.floor(half - c) + 1):
+        total += math.exp(-t * ((k + c) * w) ** 2)
+    return total
+
+
+def _dual_bracket_1d(alpha: float, lam: float, t: float) -> float:
+    """2 sum_k e^{-r' k^2} cos(2 pi lam k), r' = alpha^2 / 4t, over k = 1..floor(sqrt(m^2 + 42 / r')),
+    m = ``_first_order(lam)``."""
+    last = math.hypot(_first_order(lam), 2.0 * math.sqrt(_GAUSS_DEPTH * t) / alpha)
+    if not last < _GAUSS_TERM_CAP:
+        raise _refusal("dual", t)
+    total = 0.0
+    for k in range(1, math.floor(last) + 1):
+        total += math.exp(-((alpha * k) ** 2) / (4.0 * t)) * cos_2pi(lam * k)
+    return 2.0 * total
+
+
+def _require_time(t: float) -> None:
+    if not 0.0 < t < math.inf:
+        raise PreconditionError(f"time must be finite and > 0, got {t}")
 
 
 def theta_continuous(spec: ContinuousTorusSpec, t: float, form: str | None = None) -> float:
-    """Continuum theta: spectral Gaussian sum or its Poisson-dual resummation.
+    """Continuum theta: the spectral Gaussian sum or its Poisson-dual resummation, per direction
 
-    ``form`` is "spectral", "dual", or None for automatic switching at
-    t = 1 (dual converges fast for small t, spectral for large t).
+        theta_1(t) = sum_k e^{-4 pi^2 t (k + lam)^2 / alpha^2}
+                   = alpha / sqrt(4 pi t) (1 + 2 sum_{k >= 1} e^{-(alpha k)^2 / 4t} cos(2 pi lam k)).
+
+    The form rule takes the dual form below t = alpha^2 / pi and the spectral
+    form from it, so that both rates are bounded (>= pi / 4 and >= 4 pi) and
+    each sum holds a few terms.  Both ranges are fixed before summing: the
+    spectral k with r (k + c)^2 <= r c^2 + 42, c = lam - round(lam), and the
+    dual k = 1..floor(sqrt(m^2 + 42 / r')), m = 2 at the quarter turns and 1
+    elsewhere.  ``form`` ("spectral" or "dual") forces one form; one that
+    would need more than ``_GAUSS_TERM_CAP`` terms refuses, nothing is
+    truncated.  t must be finite and > 0.
     """
-    if not t > 0:
-        raise PreconditionError(f"theta_continuous needs t > 0, got {t}")
-    if form is None:
-        form = "dual" if t < 1.0 else "spectral"
-    if form not in ("spectral", "dual"):
+    _require_time(t)
+    if form not in (None, "spectral", "dual"):
         raise PreconditionError(f"unknown theta form {form!r}")
     value = 1.0
     for alpha, lam in zip(spec.alpha, spec.lam):
-        if form == "spectral":
-            value *= _theta_spectral_1d(alpha, lam, t)
+        if (t < _DUAL_BELOW * alpha * alpha) if form is None else form == "dual":
+            value *= alpha / math.sqrt(4.0 * math.pi * t) * (1.0 + _dual_bracket_1d(alpha, lam, t))
         else:
-            lead = alpha / math.sqrt(4.0 * math.pi * t)
-            value *= lead * (1.0 + _theta_dual_bracket_1d(alpha, lam, t))
+            value *= _spectral_1d(alpha, lam, t)
     return value
 
 
@@ -275,8 +297,10 @@ def theta_discrete_minus_leading(spec: TorusBundleSpec, t: float) -> float:
 
     With u_i = theta_i(t) / (a_i e^{-2t} I_0(2t)) - 1, the difference is
     prod(a_i e^{-2t} I_0(2t)) * (prod(1 + u_i) - 1), accumulated as
-    q <- q (1 + u) + u.  Below the form threshold u_i comes from the Bessel
-    orders k a_i alone, so its O(t^{a_i}) size keeps full relative accuracy.
+    q <- q (1 + u) + u.  The form threshold is t = m^2 / 8 with m the first
+    order whose phase is nonzero: a_i, or 2 a_i at the quarter turns.  Below
+    it u_i comes from the Bessel orders k a_i alone, so its O(t^m) size keeps
+    full relative accuracy.
     """
     if not (t >= 0.0):
         raise PreconditionError(f"time must be >= 0, got {t}")
@@ -285,10 +309,11 @@ def theta_discrete_minus_leading(spec: TorusBundleSpec, t: float) -> float:
     q = 0.0
     for ai, li in zip(spec.a, spec.holonomies):
         lead *= ai * base
-        if t >= _SPECTRAL_FROM * ai * ai:
+        m = ai * _first_order(li)
+        if t >= _SPECTRAL_FROM * m * m:
             u = float(np.exp(-t * line_spectrum(ai, li)).sum()) / (ai * base) - 1.0
         else:
-            orders = range(ai, _last_order(t, ai, ai) + 1, ai)
+            orders = range(ai, _last_order(t, m, m) + 1, ai)
             u = 2.0 * sum(bessel_i_scaled(n, 2.0 * t) * cos_2pi(n // ai * li) for n in orders) / base
         q = q * (1.0 + u) + u
     return lead * q
@@ -297,17 +322,20 @@ def theta_discrete_minus_leading(spec: TorusBundleSpec, t: float) -> float:
 def theta_continuous_minus_leading(spec: ContinuousTorusSpec, t: float) -> float:
     """theta_inf(t) - prod(alpha_i) (4 pi t)^{-d/2} without cancellation.
 
-    Uses the dual form: with s_i the (exponentially small for small t)
-    non-constant part of each factor, the difference is
-    prod(lead_i) * (prod(1 + s_i) - 1), and the last parenthesis is
-    accumulated as q <- q (1 + s) + s so no large terms ever cancel.
+    With s_i = theta_i / lead_i - 1 per direction (the dual bracket below
+    t = alpha_i^2 / pi, exponentially small there; spectral / lead - 1 from
+    it), the difference is prod(lead_i) * (prod(1 + s_i) - 1), and the last
+    parenthesis is accumulated as q <- q (1 + s) + s so no large terms cancel.
     """
-    if not t > 0:
-        raise PreconditionError(f"need t > 0, got {t}")
+    _require_time(t)
     lead = 1.0
     q = 0.0
     for alpha, lam in zip(spec.alpha, spec.lam):
-        lead *= alpha / math.sqrt(4.0 * math.pi * t)
-        s = _theta_dual_bracket_1d(alpha, lam, t)
+        lead_1 = alpha / math.sqrt(4.0 * math.pi * t)
+        if t < _DUAL_BELOW * alpha * alpha:
+            s = _dual_bracket_1d(alpha, lam, t)
+        else:
+            s = _spectral_1d(alpha, lam, t) / lead_1 - 1.0
+        lead *= lead_1
         q = q * (1.0 + s) + s
     return lead * q

@@ -12,9 +12,10 @@ cross-validates itself:
                         on (0, 1]; this is the analytic continuation and is
                         valid for every s away from the pole at d/2.
 
-The derivative at s = 0 uses the dual (Poisson) form of theta minus its
-k = 0 term, so the integrand on (0, 1] is a sum of exponentially small
-terms rather than a difference of large ones.
+Each derivative at s = 0 is its own split bracket at s = 0 (the zeta
+vanishes there), so it shares the integrals of its zeta.  On (0, 1] the
+continuum integrand is theta minus its leading term, taken without
+cancellation (the Poisson-dual bracket at small t).
 """
 
 from __future__ import annotations
@@ -120,10 +121,6 @@ def lattice_constant_eval(d: int, quad: QuadratureSpec | None = None) -> tuple[f
 # ---------------------------------------------------------------------------
 
 
-def _canonical(spec: ContinuousTorusSpec) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    return spec.alpha, spec.canonical_lam()
-
-
 def _require_nontrivial(spec: ContinuousTorusSpec):
     if not spec.has_nontrivial_holonomy:
         raise PreconditionError(
@@ -134,8 +131,7 @@ def _require_nontrivial(spec: ContinuousTorusSpec):
 
 def _min_frequency(spec: ContinuousTorusSpec) -> float:
     """min over the dual lattice of sum ((k_i + lam_i)/alpha_i)^2 (> 0)."""
-    alpha, lam = _canonical(spec)
-    return sum((min(l, 1.0 - l) / a) ** 2 for a, l in zip(alpha, lam))
+    return sum((min(l, 1.0 - l) / a) ** 2 for a, l in zip(spec.alpha, spec.canonical_lam()))
 
 
 def _eigensum_d1(s: float, alpha: float, lam: float):
@@ -211,7 +207,7 @@ def epstein_hurwitz_zeta(
                 f"eigensum converges too slowly within 0.25 of the pole; "
                 f"need s >= {0.5 * d + 0.25}, got {s} (use the integral split)"
             )
-        alpha, lam = _canonical(spec)
+        alpha, lam = spec.alpha, spec.canonical_lam()
         if d == 1:
             value, err = _eigensum_d1(s, alpha[0], lam[0])
         else:
@@ -221,14 +217,29 @@ def epstein_hurwitz_zeta(
         raise PreconditionError(f"unknown method {method!r} for epstein_hurwitz_zeta")
 
     quad = quad or QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10, max_subdivisions=8000)
-    leading = math.prod(spec.alpha) * (4.0 * math.pi) ** (-0.5 * d)
-    rate = 4.0 * math.pi**2 * _min_frequency(spec)
+    rg = reciprocal_gamma(s)
+    bracket, err = _eh_bracket(s, spec, quad)
+    return ZetaEvaluation(rg * bracket, abs(rg) * err, "integral_split")
 
+
+def _eh_bracket(s: float, spec: ContinuousTorusSpec, quad: QuadratureSpec) -> tuple[float, float]:
+    """Gamma(s) times the continuum zeta by the Mellin split at t = 1, and its error estimate:
+
+        int_1^inf theta(t) t^{s-1} dt
+        + int_0^1 (theta(t) - prod(alpha) (4 pi t)^{-d/2}) t^{s-1} dt
+        + prod(alpha) (4 pi)^{-d/2} / (s - d/2),
+
+    both integrands in the form rule of ``heat_theta``, the head one without
+    cancellation.  With no zero mode the zeta vanishes at 0, so at s = 0 the
+    bracket is the derivative there.
+    """
+    d = spec.d
+    leading = math.prod(spec.alpha) * (4.0 * math.pi) ** (-0.5 * d)
     tail_part = integrate_semi_infinite(
-        lambda t: theta_continuous(spec, t, form="spectral") * t ** (s - 1.0),
+        lambda t: theta_continuous(spec, t) * t ** (s - 1.0),
         1.0,
         quad,
-        tail=TailRule("exp", rate),
+        tail=TailRule("exp", 4.0 * math.pi**2 * _min_frequency(spec)),
     )
     head_part = integrate_interval(
         lambda t: theta_continuous_minus_leading(spec, t) * t ** (s - 1.0),
@@ -237,39 +248,24 @@ def epstein_hurwitz_zeta(
         quad,
     )
     bracket = tail_part.value + head_part.value + leading / (s - 0.5 * d)
-    rg = reciprocal_gamma(s)
-    value = rg * bracket
-    err = abs(rg) * (tail_part.error_estimate + head_part.error_estimate)
-    return ZetaEvaluation(value, err, "integral_split")
+    return bracket, tail_part.error_estimate + head_part.error_estimate
 
 
 def epstein_hurwitz_deriv0(spec: ContinuousTorusSpec, quad: QuadratureSpec | None = None) -> ZetaEvaluation:
-    """d/ds at s = 0 of the continuum spectral zeta, by the theta integral
+    """d/ds at s = 0 of the continuum spectral zeta: the Mellin-split bracket
+    of ``epstein_hurwitz_zeta`` at s = 0,
 
         int_1^inf theta(t) dt/t
         + int_0^1 (theta(t) - prod(alpha) (4 pi t)^{-d/2}) dt/t
         - (2/d) prod(alpha) (4 pi)^{-d/2},
 
-    with the middle integrand assembled from the Poisson-dual series so it
-    is a sum of exponentially small terms.  In dimension two
-    ``kronecker_deriv0`` is the independent closed form.
+    with the middle integrand free of cancellation (the Poisson-dual bracket
+    at small t).  In dimension two ``kronecker_deriv0`` is the independent
+    closed form.
     """
     _require_nontrivial(spec)
-    d = spec.d
     quad = quad or QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11, max_subdivisions=8000)
-    leading = math.prod(spec.alpha) * (4.0 * math.pi) ** (-0.5 * d)
-    rate = 4.0 * math.pi**2 * _min_frequency(spec)
-    tail_part = integrate_semi_infinite(
-        lambda t: theta_continuous(spec, t, form="spectral") / t,
-        1.0,
-        quad,
-        tail=TailRule("exp", rate),
-    )
-    head_part = integrate_interval(
-        lambda t: theta_continuous_minus_leading(spec, t) / t, 0.0, 1.0, quad
-    )
-    value = tail_part.value + head_part.value - (2.0 / d) * leading
-    err = tail_part.error_estimate + head_part.error_estimate
+    value, err = _eh_bracket(0.0, spec, quad)
     return ZetaEvaluation(value, err, "poisson_dual")
 
 
@@ -281,18 +277,7 @@ def kronecker_deriv0(alpha1: float, alpha2: float, lam1: float, lam2: float) -> 
 
     Factors are dropped once they differ from 1 by less than 1e-16.
     """
-    if not (alpha1 > 0 and alpha2 > 0):
-        raise PreconditionError("alpha values must be positive")
-    for lam in (lam1, lam2):
-        if not 0.0 <= lam <= 1.0:
-            raise PreconditionError("holonomies must lie in [0, 1]")
-    trivial1 = lam1 in (0.0, 1.0)
-    trivial2 = lam2 in (0.0, 1.0)
-    if trivial1 and trivial2:
-        raise PreconditionError(
-            "both holonomies trivial: the n = 0 factor vanishes and the "
-            "closed form degenerates"
-        )
+    _require_nontrivial(ContinuousTorusSpec((alpha1, alpha2), (lam1, lam2)))  # else the n = 0 factor vanishes
     rho = alpha1 / alpha2
     cos1 = math.cos(2.0 * math.pi * lam1)
     log_product = 0.0
@@ -314,7 +299,9 @@ def kronecker_deriv0(alpha1: float, alpha2: float, lam1: float, lam2: float) -> 
 # ---------------------------------------------------------------------------
 
 
-def _lattice_zeta_pieces(s: float, d: int, quad: QuadratureSpec):
+def _lattice_bracket(s: float, d: int, quad: QuadratureSpec) -> tuple[float, float]:
+    """Gamma(s) times the lattice zeta less its 1/s term, split at t = 1, and its error estimate."""
+
     def head(t: float) -> float:
         return _scaled_i0_power_minus_one(d, t) * t ** (s - 1.0)
 
@@ -330,7 +317,8 @@ def _lattice_zeta_pieces(s: float, d: int, quad: QuadratureSpec):
     tail_res = integrate_semi_infinite(
         tail, 1.0, quad, tail=TailRule("power", 0.5 * d + 2.0 - s)
     )
-    return head_res, tail_res
+    bracket = head_res.value + tail_res.value + (4.0 * math.pi) ** (-0.5 * d) / (0.5 * d - s)
+    return bracket, head_res.error_estimate + tail_res.error_estimate
 
 
 def _rectified_unit_integral(f, beta: float, quad: QuadratureSpec):
@@ -363,32 +351,19 @@ def lattice_zeta(s: float, d: int, quad: QuadratureSpec | None = None) -> ZetaEv
     if s == 0.0:
         return ZetaEvaluation(1.0, 0.0, "integral_split")
     quad = quad or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10, max_subdivisions=8000)
-    head_res, tail_res = _lattice_zeta_pieces(s, d, quad)
-    bracket = head_res.value + 1.0 / s + tail_res.value
-    bracket += (4.0 * math.pi) ** (-0.5 * d) / (0.5 * d - s)
+    bracket, err = _lattice_bracket(s, d, quad)
     rg = reciprocal_gamma(s)
-    value = rg * bracket
-    err = abs(rg) * (head_res.error_estimate + tail_res.error_estimate)
-    return ZetaEvaluation(value, err, "integral_split")
+    return ZetaEvaluation(rg * (bracket + 1.0 / s), abs(rg) * err, "integral_split")
 
 
 def lattice_zeta_deriv0(d: int, quad: QuadratureSpec | None = None) -> ZetaEvaluation:
-    """d/ds at 0 of the lattice zeta; equals minus the lattice constant."""
+    """d/ds at 0 of the lattice zeta: Euler's gamma plus the split bracket of
+    ``lattice_zeta`` at s = 0 less its 1/s term; equals minus the lattice constant."""
     if d < 1:
         raise PreconditionError("dimension must be >= 1")
     quad = quad or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11, max_subdivisions=8000)
-    head = integrate_interval(
-        lambda t: _scaled_i0_power_minus_one(d, t) / t, 0.0, 1.0, quad
-    )
-    tail = integrate_semi_infinite(
-        lambda t: _scaled_i0_power_minus_leading(d, t) / t,
-        1.0,
-        quad,
-        tail=TailRule("power", 0.5 * d + 2.0),
-    )
-    value = EULER_GAMMA + head.value + tail.value
-    value += (4.0 * math.pi) ** (-0.5 * d) * 2.0 / d
-    return ZetaEvaluation(value, head.error_estimate + tail.error_estimate, "integral_split")
+    bracket, err = _lattice_bracket(0.0, d, quad)
+    return ZetaEvaluation(EULER_GAMMA + bracket, err, "integral_split")
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,27 @@ def test_theta_table_continuous(capsys):
     assert val == pytest.approx(2.0 * math.exp(-math.pi**2 * 4.0), rel=1e-6, abs=0.0)
 
 
+def test_theta_table_continuous_past_underflow(capsys):
+    code, rep = run_json(capsys, "theta", "--alpha", "1", "--lambda", "0.3", "--t-grid", "250")
+    assert code == 0
+    assert rep["result"]["rows"] == [[250.0, 0.0]]
+
+
+def test_non_finite_continuum_input_refused(capsys):
+    for argv in (
+        ("theta", "--alpha", "inf", "--lambda", "0.3", "--t-grid", "1"),
+        ("zeta", "eh", "--alpha", "inf", "--lambda", "0.3", "--s", "2"),
+        ("zeta", "kronecker", "--alpha", "1,inf", "--lambda", "0.3,0.5"),
+        ("asymptotics", "theta-gap", "--d", "1", "--lambda", "0.5", "--ns", "4", "--t", "inf"),
+        ("theta", "--alpha", "1", "--lambda", "0.3", "--t-grid", "inf"),
+        ("theta", "--alpha", "1", "--lambda", "0.3", "--t-grid", "nan"),
+    ):
+        code, rep = run_json(capsys, *argv)
+        assert code == 2
+        assert rep["kind"] == "precondition"
+        assert "finite" in rep["error"]
+
+
 # ---------------------------------------------------------------------------
 # report plumbing
 # ---------------------------------------------------------------------------

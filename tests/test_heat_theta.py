@@ -115,18 +115,25 @@ def test_heat_kernel_large_time_against_mpmath():
 
 
 def test_line_forms_agree_at_threshold(monkeypatch):
-    # both forms of each cycle factor at the switch t = a^2 / 8
+    # both forms of each cycle factor at its switch: t = a^2 / 8 for the column,
+    # t = m^2 / 8 for theta - lead, m = 2a at the quarter turns where the order-a
+    # phase vanishes; at both times the form the rule picks keeps the Bessel accuracy
     for a in (1, 2, 3, 4, 5, 8, 16, 40):
-        t = a * a / 8.0
-        for lam in (0.0, 0.3, 0.5):
+        for lam in (0.0, 0.25, 0.3, 0.5, 0.75):
+            m = 2 * a if lam in (0.25, 0.75) else a
+            ts = (a * a / 8.0, m * m / 8.0)
             spec = TorusBundleSpec.single_twist(1, (a,), (lam,))
+            by_rule = [theta_discrete_minus_leading(spec, t) for t in ts]
             forms = []
             for spectral_from in (0.0, math.inf):  # every t spectral, then every t Bessel
-                monkeypatch.setattr(heat_theta, "_SPECTRAL_FROM", spectral_from)
-                forms.append((heat_kernel_column(spec, t), theta_discrete_minus_leading(spec, t)))
-            (col_s, gap_s), (col_b, gap_b) = forms
+                with monkeypatch.context() as patch:
+                    patch.setattr(heat_theta, "_SPECTRAL_FROM", spectral_from)
+                    forms.append((heat_kernel_column(spec, ts[0]), [theta_discrete_minus_leading(spec, t) for t in ts]))
+            (col_s, gaps_s), (col_b, gaps_b) = forms
             assert np.abs(col_s - col_b).max() <= 1e-15
-            assert abs(gap_s - gap_b) <= 1e-13 * abs(gap_b)
+            assert abs(gaps_s[1] - gaps_b[1]) <= 1e-13 * abs(gaps_b[1])
+            for got, want in zip(by_rule, gaps_b):
+                assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def test_heat_kernel_column_cap_refused():
@@ -308,11 +315,119 @@ def test_theta_handles_boundary_holonomy_one():
         assert theta_continuous(a, t) == pytest.approx(theta_continuous(b, t), rel=1e-13)
 
 
-@given(st.floats(0.05, 5.0), st.floats(0.6, 2.0), st.floats(0.0, 1.0))
-@settings(max_examples=25)
+@given(st.floats(0.05, 1e4), st.floats(1e-3, 100.0), st.floats(0.0, 1.0))
+@settings(max_examples=60)
 def test_theta_positive_and_decreasing_in_t(t, alpha, lam):
+    # values that underflow read 0, never a negative rounding residue
     spec = ContinuousTorusSpec((alpha,), (lam,))
     v1 = theta_continuous(spec, t)
     v2 = theta_continuous(spec, t * 1.5)
-    assert v1 > 0 and v2 > 0
-    assert v2 < v1 * (1.0 + 1e-12)
+    assert v1 >= 0 and v2 >= 0
+    assert v2 <= v1 * (1.0 + 1e-12)
+
+
+def continuum_reference(alpha, lam, t):
+    """(theta_1, theta_1 - lead) at 50 digits, from the form with the larger Gaussian rate."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        alpha, lam, t = mpmath.mpf(alpha), mpmath.mpf(lam), mpmath.mpf(t)
+        lead = alpha / mpmath.sqrt(4 * mpmath.pi * t)
+        rate, dual_rate = 4 * mpmath.pi**2 * t / alpha**2, alpha**2 / (4 * t)
+        if rate >= dual_rate:
+            c = lam - mpmath.nint(lam)
+            half = mpmath.sqrt(c**2 + 200 / rate)
+            ks = range(int(mpmath.ceil(-c - half)), int(mpmath.floor(half - c)) + 1)
+            theta = mpmath.fsum(mpmath.exp(-rate * (k + c) ** 2) for k in ks)
+            return theta, theta - lead
+        ks = range(1, int(mpmath.sqrt(4 + 200 / dual_rate)) + 2)
+        bracket = 2 * mpmath.fsum(mpmath.exp(-dual_rate * k * k) * mpmath.cospi(2 * lam * k) for k in ks)
+        return lead * (1 + bracket), lead * bracket
+
+
+def test_theta_continuous_against_mpmath_grid():
+    # e^x from an x good to a few ulps is good to ~|x| ulps: the bound grows with |log value|;
+    # values below 1e-290 (subnormal or underflowed) must only stay there
+    for alpha in (1e-4, 0.01, 0.5, 1.0, 2.5, 100.0):
+        for lam in (0.0, 0.1, 0.25, 0.3, 0.5, 0.75, 1.0):
+            spec = ContinuousTorusSpec((alpha,), (lam,))
+            for t in np.geomspace(1e-4, 1e4, 33):
+                refs = continuum_reference(alpha, lam, float(t))
+                gots = (theta_continuous(spec, float(t)), theta_continuous_minus_leading(spec, float(t)))
+                for got, ref in zip(gots, refs):
+                    ref = float(ref)
+                    if abs(ref) > 1e-290:
+                        assert abs(got - ref) <= 2e-15 * (1.0 + max(0.0, -math.log(abs(ref)))) * abs(ref)
+                    else:
+                        assert abs(got) <= 1e-290
+
+
+def test_continuum_forms_agree_at_switch(monkeypatch):
+    # both forms of each direction at the switch t = alpha^2 / pi
+    for alpha in (1e-4, 0.01, 0.5, 1.0, 2.5, 100.0):
+        t = alpha * alpha / math.pi
+        for lam in (0.0, 0.1, 0.25, 0.3, 0.5, 0.75, 1.0):
+            spec = ContinuousTorusSpec((alpha,), (lam,))
+            forms = []
+            for dual_below in (0.0, math.inf):  # every t spectral, then every t dual
+                monkeypatch.setattr(heat_theta, "_DUAL_BELOW", dual_below)
+                forms.append((theta_continuous(spec, t), theta_continuous_minus_leading(spec, t)))
+            (theta_s, gap_s), (theta_d, gap_d) = forms
+            assert abs(theta_s - theta_d) <= 1e-15 * theta_d
+            assert abs(gap_s - gap_d) <= 4e-15 * abs(gap_d)
+
+
+def test_theta_continuous_past_underflow():
+    # every Gaussian term underflows: 0 at once, and theta - lead is -lead
+    spec = ContinuousTorusSpec((1.0,), (0.3,))
+    assert theta_continuous(spec, 250.0) == 0.0
+    assert theta_continuous_minus_leading(spec, 250.0) == -1.0 / math.sqrt(1000.0 * math.pi)
+    # small alpha below t = 1: the spectral form, not a dual sum truncated to a negative residue
+    assert theta_continuous(ContinuousTorusSpec((0.01,), (0.3,)), 0.9) == 0.0
+    assert theta_continuous(ContinuousTorusSpec((1e-5,), (0.3,)), 0.5) == 0.0
+
+
+def test_theta_continuous_minus_leading_at_large_t():
+    # lambda = 0: theta = 1 to rounding far past the 1e5 dual terms a truncated sum would stop at
+    spec = ContinuousTorusSpec((1.0,), (0.0,))
+    for t in (1e9, 1e10):
+        expected = 1.0 - 1.0 / math.sqrt(4.0 * math.pi * t)
+        assert theta_continuous_minus_leading(spec, t) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_quarter_turns_keep_minus_leading():
+    # the k = 1 phase cos(pi / 2) is exactly 0, so the first surviving order is k = 2
+    assert heat_theta.cos_2pi(0.25) == 0.0 and heat_theta.cos_2pi(0.75) == 0.0
+    t = 0.01
+    for lam in (0.25, 0.75):
+        gap = theta_continuous_minus_leading(ContinuousTorusSpec((1.0,), (lam,)), t)
+        expected = -2.0 * math.exp(-1.0 / t) / math.sqrt(4.0 * math.pi * t)  # the k = 2 term
+        assert gap == pytest.approx(expected, rel=1e-14, abs=0.0)
+    # discrete: theta - lead = 2 a e^{-2t} sum_k I_{ka}(2t) cos(pi k / 2), k = 2 first
+    mpmath = pytest.importorskip("mpmath")
+    a = 4
+    for t in (1e-4, 1e-3, 0.1):
+        with mpmath.workdps(40):
+            ref = float(2 * a * mpmath.exp(-2 * t) * mpmath.fsum(
+                mpmath.besseli(k * a, 2 * t) * mpmath.cospi(mpmath.mpf(k) / 2) for k in range(1, 40)
+            ))
+        got = theta_discrete_minus_leading(TorusBundleSpec.single_twist(1, (a,), (0.25,)), t)
+        assert abs(got - ref) <= 1e-14 * abs(ref)
+
+
+def test_continuum_theta_refusals():
+    spec = ContinuousTorusSpec((1.0,), (0.3,))
+    for t in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(PreconditionError, match="finite"):
+            theta_continuous(spec, t)
+        with pytest.raises(PreconditionError, match="finite"):
+            theta_continuous_minus_leading(spec, t)
+    for alpha in (math.inf, math.nan, 0.0):
+        with pytest.raises(PreconditionError, match="alpha"):
+            ContinuousTorusSpec((alpha,), (0.3,))
+    with pytest.raises(PreconditionError, match="unknown theta form"):
+        theta_continuous(spec, 1.0, form="bessel")
+    # a forced form past its rate needs ~1e6 terms: refused, never truncated
+    with pytest.raises(PreconditionError, match="cap"):
+        theta_continuous(spec, 1e-12, form="spectral")
+    with pytest.raises(PreconditionError, match="cap"):
+        theta_continuous(spec, 1e12, form="dual")

@@ -145,6 +145,24 @@ def test_eh_deriv0_d1_closed_form_and_alpha_independence():
             assert res.value == pytest.approx(expected, abs=1e-8)
 
 
+def test_eh_deriv0_small_and_large_alpha():
+    # -2 log(2 sin pi lam) for every alpha: the theta integrands follow the form rule at every t
+    expected = -2.0 * math.log(2.0 * math.sin(0.3 * math.pi))
+    for alpha in (1e-4, 0.01, 0.1, 1.0, 100.0):
+        res = epstein_hurwitz_deriv0(ContinuousTorusSpec((alpha,), (0.3,)))
+        assert res.value == pytest.approx(expected, rel=0.0, abs=1e-13)
+
+
+def test_eh_split_small_alpha_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    s, alpha, lam = 0.25, 0.1, 0.3
+    with mpmath.workdps(30):
+        ref = float((2 * mpmath.pi / alpha) ** (-2 * s) * (mpmath.zeta(2 * s, lam) + mpmath.zeta(2 * s, 1 - lam)))
+    res = epstein_hurwitz_zeta(s, ContinuousTorusSpec((alpha,), (lam,)))
+    assert res.method == "integral_split"
+    assert res.value == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
 def test_eh_deriv0_matches_kronecker_on_mixed_case():
     spec = ContinuousTorusSpec((1.0, 1.0), (0.0, 0.5))
     integral = epstein_hurwitz_deriv0(spec)
