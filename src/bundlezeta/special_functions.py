@@ -292,6 +292,23 @@ def log_bessel_i0_scaled(x: float) -> float:
     return math.log(bessel_i_scaled(0, x))
 
 
+def bessel_k(nu: float, x: np.ndarray) -> np.ndarray:
+    """K_nu(x) at a 1-D array of x >= 1: the trapezoid rule on int_0^inf e^{-x cosh u} cosh(nu u) du.
+
+    The integrand is analytic in a strip and decays double-exponentially: the step
+    0.5/sqrt(max x + |nu|) leaves a strip error below rounding, and the grid ends where
+    x (cosh u - 1) passes 45 + 8 |nu| at the smallest x.  Against mpmath for nu in
+    [-0.5, 30] and x in [1, 700]: within 5e-15 relative.
+    """
+    if not np.all(x >= 1.0):
+        raise PreconditionError("bessel_k needs every argument >= 1")
+    h = min(0.2, 0.5 / math.sqrt(x.max(initial=1.0) + abs(nu)))
+    u = h * np.arange(int(math.acosh(1.0 + (45.0 + 8.0 * abs(nu)) / x.min(initial=np.inf)) / h) + 2)
+    u = np.concatenate((-u[:0:-1], u))  # the even integrand over the whole line, halved below
+    # x (cosh u - 1) = 2 x sinh^2(u/2), without cancellation at small u
+    return 0.5 * h * (np.exp(-2.0 * x[:, None] * np.sinh(0.5 * u) ** 2) @ np.cosh(nu * u)) * np.exp(-x)
+
+
 # ---------------------------------------------------------------------------
 # Hurwitz zeta and reciprocal gamma
 # ---------------------------------------------------------------------------
@@ -316,8 +333,8 @@ def hurwitz_zeta(s: float, a: float) -> float:
     where the value is 0.011).  Below s = 0 the explicit sum cancels: the
     worst relative error is 1.7e-13 at s = -0.25, 1.1e-12 at -1, 3.7e-11
     at -2 and 1.2e-4 at -6.  Every call in the package has s > 0; those
-    above s = 8 (binomial tails of the lattice sums, a >= 64) lose more
-    than 1e-13 relative only on values below 1e-40.
+    above s = 8 come at a in [0.01, 2] or, in binomial tails, a in [64, 66]:
+    within 9e-16 relative of 80-digit mpmath for s in [6, 30] and [8, 41].
     """
     if s == 1.0:
         raise PreconditionError("hurwitz_zeta has a pole at s = 1")

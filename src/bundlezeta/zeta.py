@@ -5,8 +5,8 @@ the spectral zeta of the integer lattice and of finite bundle tori.
 Two independent evaluation routes are kept alive wherever the package
 cross-validates itself:
 
-* ``eigensum``       -- lattice sums over the continuum spectrum, with
-                        Hurwitz-zeta tail completion (d <= 2),
+* ``eigensum``       -- lattice sums over the continuum spectrum (d <= 2),
+                        in oriented Chowla-Selberg rows of bounded cost,
 * ``integral_split`` -- Mellin integrals of the theta function, split at
                         t = 1 with the (4 pi t)^{-d/2} leading term removed
                         on (0, 1]; this is the analytic continuation and is
@@ -32,6 +32,7 @@ from .quadrature import QuadratureSpec, TailRule, integrate_interval, integrate_
 from .special_functions import (
     bessel_i0_scaled_ratio_minus_one,
     bessel_i_scaled,
+    bessel_k,
     hurwitz_zeta,
     log_bessel_i0_scaled,
     reciprocal_gamma,
@@ -134,50 +135,49 @@ def _min_frequency(spec: ContinuousTorusSpec) -> float:
     return sum((min(l, 1.0 - l) / a) ** 2 for a, l in zip(spec.alpha, spec.canonical_lam()))
 
 
-def _eigensum_d1(s: float, alpha: float, lam: float):
-    explicit = 30
-    acc = 0.0
-    for k in range(-explicit, explicit + 1):
-        acc += abs(k + lam) ** (-2.0 * s)
-    acc += hurwitz_zeta(2.0 * s, explicit + 1 + lam)
-    acc += hurwitz_zeta(2.0 * s, explicit + 1 - lam)
-    value = (2.0 * math.pi) ** (-2.0 * s) * alpha ** (2.0 * s) * acc
-    return value, 1e-13 * abs(value)
-
-
-def _inner_line_sum(u: float, s: float, alpha2: float, lam2: float) -> float:
-    """sum over k of (u^2 + ((k + lam2)/alpha2)^2)^{-s}, Hurwitz-completed."""
-    cut = max(64, int(math.ceil(8.0 * alpha2 * abs(u))) + 2)
-    acc = 0.0
-    for k in range(-cut, cut + 1):
-        acc += (u * u + ((k + lam2) / alpha2) ** 2) ** (-s)
-    # binomial tail: (u^2 + v^2)^{-s} = sum_m C(-s, m) u^{2m} v^{-2s-2m}
+def _inner_line_sum(c: float, s: float, lam: float) -> float:
+    """sum over k of (c^2 + (k + lam)^2)^{-s} for 0 <= c < 1: 129 terms, then the binomial
+    series (c^2 + v^2)^{-s} = sum_m C(-s, m) c^{2m} v^{-2s-2m} summed over v > 64 by Hurwitz zetas."""
+    acc = float(np.sum((c * c + (np.arange(-64, 65) + lam) ** 2) ** -s))
     coeff = 1.0
-    u2 = u * u
     for m in range(0, 11):
-        power = 2.0 * s + 2.0 * m
-        tail = hurwitz_zeta(power, cut + 1 + lam2) + hurwitz_zeta(power, cut + 1 - lam2)
-        acc += coeff * u2**m * alpha2**power * tail
+        acc += coeff * c ** (2 * m) * (hurwitz_zeta(2 * s + 2 * m, 65 + lam) + hurwitz_zeta(2 * s + 2 * m, 65 - lam))
         coeff *= -(s + m) / (m + 1.0)
     return acc
 
 
-def _eigensum_d2(s: float, alpha, lam):
-    alpha1, alpha2 = alpha
-    lam1, lam2 = lam
-    outer = max(30, int(math.ceil(6.5 * alpha1 / alpha2)))
-    total = 0.0
-    for k1 in range(-outer, outer + 1):
-        total += _inner_line_sum((k1 + lam1) / alpha1, s, alpha2, lam2)
-    # far outer columns: inner sum ~ alpha2 sqrt(pi) Gamma(s-1/2)/Gamma(s)
-    # |u|^{1-2s} up to exponentially small Poisson corrections
-    c_line = alpha2 * math.sqrt(math.pi) * math.gamma(s - 0.5) / math.gamma(s)
-    tail = hurwitz_zeta(2.0 * s - 1.0, outer + 1 + lam1) + hurwitz_zeta(
-        2.0 * s - 1.0, outer + 1 - lam1
-    )
-    total += c_line * alpha1 ** (2.0 * s - 1.0) * tail
-    value = (2.0 * math.pi) ** (-2.0 * s) * total
-    return value, 1e-12 * abs(value)
+def _eigensum(s: float, alpha, lam) -> tuple[float, float]:
+    """The lattice sum of (sum_i ((k_i + lam_i)/b_i)^2)^{-s}, b_i = alpha_i/(2 pi), d <= 2.
+
+    d = 1 is two Hurwitz zetas.  In d = 2 the rows run along the shorter side b1,
+    Poisson-summed over k2 (Chowla-Selberg): with c = (b2/b1)|k1 + lam1|, row k1 is
+    b2^{2s} [sqrt(pi) Gamma(s-1/2)/Gamma(s) c^{1-2s} + 4 pi^s/Gamma(s) sum_m (m/c)^{s-1/2}
+    K_{s-1/2}(2 pi m c) cos(2 pi m lam2)].  The leading terms of the rows k1 >= 1 and
+    k1 <= -2 add up to two Hurwitz zetas; the rows k1 = 0, -1 are summed directly when
+    c < 1.  Elsewhere c >= 1, so Bessel terms with 2 pi m c <= 42 make at most 14 rows
+    of at most 6 terms at any aspect ratio.
+    """
+    b = [a / (2.0 * math.pi) for a in alpha]
+    if len(b) == 1:
+        value = b[0] ** (2.0 * s) * (hurwitz_zeta(2.0 * s, lam[0]) + hurwitz_zeta(2.0 * s, 1.0 - lam[0]))
+        return value, 1e-13 * abs(value)
+    (b1, lam1), (b2, lam2) = sorted(zip(b, lam))
+    rho = b2 / b1
+    lead = b2 * math.sqrt(math.pi) * math.exp(math.lgamma(s - 0.5) - math.lgamma(s)) * b1 ** (2.0 * s - 1.0)
+    total = lead * (hurwitz_zeta(2.0 * s - 1.0, 1.0 + lam1) + hurwitz_zeta(2.0 * s - 1.0, 2.0 - lam1))
+    for u in (lam1, 1.0 - lam1):  # |k1 + lam1| on the rows k1 = 0 and -1
+        if rho * u < 1.0:
+            total += b2 ** (2.0 * s) * _inner_line_sum(rho * u, s, lam2)
+        else:
+            total += lead * u ** (1.0 - 2.0 * s)
+    reach = 42.0 / (2.0 * math.pi)  # Bessel terms with 2 pi m c > 42 are below e^{-42} of their row
+    k1 = np.arange(math.ceil(-reach / rho - lam1), math.floor(reach / rho - lam1) + 1)
+    c, m = np.meshgrid(rho * np.abs(k1 + lam1), np.arange(1, int(reach) + 1))
+    keep = (c >= 1.0) & (m * c <= reach)
+    c, m = c[keep], m[keep]
+    terms = (m / c) ** (s - 0.5) * bessel_k(s - 0.5, 2.0 * math.pi * m * c) * np.cos(2.0 * math.pi * m * lam2)
+    total += 4.0 * math.exp(s * math.log(math.pi * b2 * b2) - math.lgamma(s)) * float(terms.sum())
+    return total, 1e-12 * abs(total)
 
 
 def epstein_hurwitz_zeta(
@@ -188,11 +188,18 @@ def epstein_hurwitz_zeta(
 ) -> ZetaEvaluation:
     """Continuum spectral zeta  (2 pi)^{-2s} sum_K (sum_i ((k_i+lam_i)/alpha_i)^2)^{-s}.
 
-    ``method="eigensum"`` runs the lattice sum with Hurwitz tail completion
-    (d <= 2, s > d/2 + 0.25 only); ``method="integral_split"`` runs the
-    Mellin-split analytic continuation, valid for every s != d/2.  The
-    boundary holonomy value 1 is folded to 0 before summation.
+    ``method="eigensum"`` (d <= 2, s >= d/2 + 0.25) is the oriented row sum of
+    ``_eigensum``, of bounded cost at every aspect ratio, with the nominal estimate
+    1e-13 |value| (d = 1) or 1e-12 |value| (d = 2); ``method="integral_split"`` is
+    the Mellin-split analytic continuation.  Holonomy 1 is folded to 0.
+
+    s must lie in [-2, 10]: there both routes kept their stated accuracy against
+    mpmath at alpha in [0.01, 1000] (d = 1) and aspect ratios 1e-4 to 1e4 (eigensum)
+    or 0.01 to 100 (split, d = 2).  Above 10 the dropped Bessel terms pass 1e-12;
+    below -2 the split of long tori misreports its error.
     """
+    if not -2.0 <= s <= 10.0:
+        raise PreconditionError(f"s must be finite and in [-2, 10], got {s}")
     _require_nontrivial(spec)
     d = spec.d
     if s == 0.5 * d:
@@ -200,19 +207,9 @@ def epstein_hurwitz_zeta(
     if method == "auto":
         method = "eigensum" if (d <= 2 and s >= 0.5 * d + 0.25) else "integral_split"
     if method == "eigensum":
-        if d > 2:
-            raise PreconditionError("eigensum route implemented for d <= 2 only")
-        if s < 0.5 * d + 0.25:
-            raise PreconditionError(
-                f"eigensum converges too slowly within 0.25 of the pole; "
-                f"need s >= {0.5 * d + 0.25}, got {s} (use the integral split)"
-            )
-        alpha, lam = spec.alpha, spec.canonical_lam()
-        if d == 1:
-            value, err = _eigensum_d1(s, alpha[0], lam[0])
-        else:
-            value, err = _eigensum_d2(s, alpha, lam)
-        return ZetaEvaluation(value, err, "eigensum")
+        if d > 2 or s < 0.5 * d + 0.25:
+            raise PreconditionError(f"the eigensum route needs d <= 2 and s >= d/2 + 0.25, got d = {d}, s = {s}")
+        return ZetaEvaluation(*_eigensum(s, spec.alpha, spec.canonical_lam()), "eigensum")
     if method != "integral_split":
         raise PreconditionError(f"unknown method {method!r} for epstein_hurwitz_zeta")
 
@@ -275,22 +272,15 @@ def kronecker_deriv0(alpha1: float, alpha2: float, lam1: float, lam2: float) -> 
         2 pi (alpha1/alpha2) B2(lam2)
         - 2 log prod over n in Z of |1 - e^{2 pi i lam1} e^{-2 pi (alpha1/alpha2)|n + lam2|}|.
 
-    Factors are dropped once they differ from 1 by less than 1e-16.
+    The form is symmetric in the two directions.  Taken with alpha1 >= alpha2,
+    the factors with |n + lam2| >= 7 differ from 1 by less than e^{-14 pi} and are dropped.
     """
     _require_nontrivial(ContinuousTorusSpec((alpha1, alpha2), (lam1, lam2)))  # else the n = 0 factor vanishes
+    if alpha1 < alpha2:
+        alpha1, alpha2, lam1, lam2 = alpha2, alpha1, lam2, lam1
     rho = alpha1 / alpha2
-    cos1 = math.cos(2.0 * math.pi * lam1)
-    log_product = 0.0
-    # |n + lam2| over n in Z splits into the two ascending sequences
-    # lam2, 1 + lam2, ...  and  1 - lam2, 2 - lam2, ...
-    for x in (lam2, 1.0 - lam2):
-        while True:
-            w = 2.0 * math.pi * rho * x
-            r = math.exp(-w)
-            if r * (2.0 + r) < 1e-16:
-                break  # remaining factors are 1 to machine precision
-            log_product += 0.5 * math.log1p(r * (r - 2.0 * cos1))
-            x += 1.0
+    r = np.exp(-2.0 * math.pi * rho * np.abs(np.arange(-7, 7) + lam2))
+    log_product = 0.5 * float(np.sum(np.log1p(r * (r - 2.0 * math.cos(2.0 * math.pi * lam1)))))
     return 2.0 * math.pi * rho * bernoulli_b2(lam2) - 2.0 * log_product
 
 
@@ -376,6 +366,8 @@ def torus_zeta(s: complex, spec: TorusBundleSpec) -> complex:
 
     ``torus_eigenvalues`` refuses above ``MAX_EIGENVALUES`` before allocating.
     """
+    if not np.isfinite(s):
+        raise PreconditionError(f"s must be finite, got {s}")
     _refuse_trivial(spec)
     evs = torus_eigenvalues(spec)
     if evs[0] <= 0.0:

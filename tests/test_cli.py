@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from bundlezeta.cli import main
+from bundlezeta.heat_theta import ContinuousTorusSpec
+from bundlezeta.zeta import epstein_hurwitz_deriv0, epstein_hurwitz_zeta
 
 REPO = Path(__file__).resolve().parent.parent
 CYCLE5 = str(REPO / "sample_specs" / "cycle5.json")
@@ -139,6 +144,48 @@ def test_zeta_eh_pole_refused(capsys):
         capsys, "zeta", "eh", "--s", "0.5", "--alpha", "1", "--lambda", "0.5"
     )
     assert code == 2
+
+
+def test_zeta_s_outside_window_refused(capsys):
+    # each once crashed (exit 1) or returned rounding noise with exit 0
+    for argv in (
+        ("zeta", "eh", "--alpha", "1,1", "--lambda", "0.3,0.7", "--s", "nan"),
+        ("zeta", "eh", "--alpha", "1,1", "--lambda", "0.3,0.7", "--s", "200"),
+        ("zeta", "eh", "--alpha", "1", "--lambda", "0.3", "--s", "200"),
+        ("zeta", "eh", "--alpha", "1", "--lambda", "0.3", "--s", "250"),
+        ("zeta", "eh", "--alpha", "1,1", "--lambda", "0.3,0.7", "--s", "-60.5"),
+        ("zeta", "gn", "--d", "1", "--a", "4", "--lambda", "0.3", "--s", "nan"),
+    ):
+        code, rep = run_json(capsys, *argv)
+        assert code == 2, argv
+        assert rep["kind"] == "precondition"
+        assert "finite" in rep["error"]
+
+
+def _cli_subprocess(*argv) -> dict:
+    """One CLI run in a fresh interpreter, with a timeout so that a runaway loop fails the test."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bundlezeta", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return json.loads(proc.stdout)["result"]
+
+
+def test_zeta_eh_long_thin_torus_is_bounded():
+    # alpha1/alpha2 = 1e6 once meant ~1e7 rows of lattice sum (about 40 minutes)
+    rep = _cli_subprocess("zeta", "eh", "--alpha", "1e6,1", "--lambda", "0.3,0.3", "--s", "2")
+    assert rep["method"] == "eigensum"
+    split = epstein_hurwitz_zeta(2.0, ContinuousTorusSpec((1e6, 1.0), (0.3, 0.3)), method="integral_split")
+    assert rep["value"] == pytest.approx(split.value, rel=1e-12, abs=0.0)
+
+
+def test_zeta_kronecker_long_thin_torus_is_bounded():
+    # rho = 1e-8 once meant ~1e9 factors in the product (minutes)
+    rep = _cli_subprocess("zeta", "kronecker", "--alpha", "1e-8,1", "--lambda", "0.3,0.5")
+    integral = epstein_hurwitz_deriv0(ContinuousTorusSpec((1e-8, 1.0), (0.3, 0.5)))
+    assert rep["value"] == pytest.approx(integral.value, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

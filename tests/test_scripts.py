@@ -19,6 +19,13 @@ REPO = Path(__file__).resolve().parent.parent
     ],
 )
 def test_script_runs_and_prints_csv(script, args, header):
+    lines = run_script(script, args, timeout=60)
+    assert lines[0] == header
+    assert len(lines) > 1
+    assert all(len(line.split(",")) == len(header.split(",")) for line in lines[1:])
+
+
+def run_script(script, args, timeout):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -26,10 +33,16 @@ def test_script_runs_and_prints_csv(script, args, header):
         capture_output=True,
         text=True,
         env=env,
-        timeout=60,
+        timeout=timeout,
     )
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0] == header
-    assert len(lines) > 1
-    assert all(len(line.split(",")) == len(header.split(",")) for line in lines[1:])
+    return proc.stdout.splitlines()
+
+
+def test_kronecker_grid_at_extreme_aspect_ratios():
+    # both routes have a cost bounded at every aspect ratio, and they agree there
+    lines = run_script("run_kronecker_grid.py", ["--ratios", "1e-6,1e6", "--lams", "0.3"], timeout=10)
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert [float(row["ratio"]) for row in rows] == [1e-6, 1e6]
+    for row in rows:
+        assert float(row["abs_diff"]) <= 1e-9 * abs(float(row["closed_form"]))

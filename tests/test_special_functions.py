@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +9,7 @@ from bundlezeta.special_functions import (
     bessel_i_complex,
     bessel_i_scaled,
     bessel_i_scaled_many,
+    bessel_k,
     hurwitz_zeta,
     log_bessel_i0_scaled,
     reciprocal_gamma,
@@ -187,6 +189,37 @@ def test_hurwitz_zeta_against_mpmath_on_documented_range(s):
         with mpmath.workdps(40):  # at default precision mpmath's zeta(12, 65.3) is 2.6e-8 off
             exact = float(mpmath.zeta(s, a))
         assert abs(hurwitz_zeta(s, a) - exact) <= max(1e-14 * abs(exact), 5e-15)
+
+
+@pytest.mark.parametrize(
+    "s,a_values",
+    [(6.0, (0.01, 0.3, 1.3, 2.0)), (20.0, (0.01, 0.3, 1.3, 2.0)), (30.0, (0.01, 0.3, 1.3, 2.0))]
+    + [(s, (64.0, 65.3, 66.0)) for s in (8.0, 21.5, 41.0)],
+)
+def test_hurwitz_zeta_against_mpmath_above_eight(s, a_values):
+    # the docstring's claim for the calls above s = 8: within 9e-16 relative
+    mpmath = pytest.importorskip("mpmath")
+    for a in a_values:
+        with mpmath.workdps(80):  # at 40 digits mpmath's zeta(21.5, 65) is 2e-11 off
+            exact = float(mpmath.zeta(s, a))
+        assert hurwitz_zeta(s, a) == pytest.approx(exact, rel=9e-16, abs=0.0)
+
+
+def test_bessel_k_against_mpmath():
+    # the docstring's measured range, one vector call per order (one step and grid for all x)
+    mpmath = pytest.importorskip("mpmath")
+    x = np.array([1.0, 1.3, 2.0, 3.7, 2.0 * math.pi, 10.0, 42.0, 100.0, 300.0, 700.0])
+    for nu in (-0.5, 0.0, 0.5, 1.0, 2.5, 4.5, 7.25, 10.0, 29.5):
+        exact = [float(mpmath.besselk(nu, xi)) for xi in x]
+        assert bessel_k(nu, x) == pytest.approx(exact, rel=5e-15, abs=0.0), nu
+        for xi, e in zip(x[::3], exact[::3]):
+            assert bessel_k(nu, np.array([xi]))[0] == pytest.approx(e, rel=5e-15, abs=0.0), (nu, xi)
+
+
+def test_bessel_k_refuses_small_argument():
+    for bad in (0.99, 0.0, -1.0, math.nan):
+        with pytest.raises(PreconditionError):
+            bessel_k(0.5, np.array([2.0, bad]))
 
 
 def test_hurwitz_zeta_pole_refused():

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -123,12 +124,83 @@ def test_eh_refusals():
         )
 
 
+def _eh_chowla_selberg_mpmath(mpmath, besselk, s, alpha, lam):
+    """The d = 2 continuum zeta in mpmath (16 digits), rows along the shorter side.
+
+    The leading terms of the rows |k1 + l1| >= 1 are two Hurwitz zetas.  Rows
+    with c = (b2/b1)|k1 + l1| >= 1/2 add mpmath besselk terms up to
+    2 pi m c = 40 + s, past which a term is below 1e-15 of its row for s <= 5.
+    Rows with c < 1/2 (only k1 = 0, -1) are summed term by term for
+    |k2 + l2| < 3 and by the binomial series in (c/v)^2 <= 1/36 with mpmath's
+    Hurwitz zeta beyond.
+    """
+    with mpmath.workdps(16):
+        s = mpmath.mpf(s)
+        (b1, l1), (b2, l2) = sorted((mpmath.mpf(a) / (2 * mpmath.pi), mpmath.mpf(x)) for a, x in zip(alpha, lam))
+        rho, nu = b2 / b1, s - 0.5
+        lead = b2 * mpmath.sqrt(mpmath.pi) * mpmath.gamma(nu) / mpmath.gamma(s) * b1 ** (2 * s - 1)
+        coef = 4 * mpmath.pi**s * b2 ** (2 * s) / mpmath.gamma(s)
+        total = lead * (mpmath.zeta(2 * s - 1, 1 + l1) + mpmath.zeta(2 * s - 1, 2 - l1))
+        reach = 40 + s
+        top = int(reach / (2 * mpmath.pi * rho)) + 2
+        for k1 in range(-top, top + 1):
+            u = abs(k1 + l1)
+            c = rho * u
+            if c < 0.5:
+                row = sum((c * c + (k + l2) ** 2) ** (-s) for k in range(-3, 4) if abs(k + l2) < 3)
+                lo, hi = min(k + l2 for k in range(6) if k + l2 >= 3), min(k - l2 for k in range(6) if k - l2 >= 3)
+                for j in range(40):
+                    row += mpmath.binomial(-s, j) * c ** (2 * j) * (mpmath.zeta(2 * s + 2 * j, lo) + mpmath.zeta(2 * s + 2 * j, hi))
+                total += b2 ** (2 * s) * row
+                continue
+            if k1 in (0, -1):
+                total += lead * u ** (1 - 2 * s)
+            m = 1
+            while 2 * mpmath.pi * m * c <= reach:
+                total += coef * (m / c) ** nu * besselk(nu, 2 * mpmath.pi * m * c) * mpmath.cos(2 * mpmath.pi * m * l2)
+                m += 1
+        return float(total)
+
+
+@pytest.mark.parametrize("s", [1.5, 3.0, 5.0])
+def test_eh_eigensum_against_mpmath_grid(s):
+    # aspect ratios 1e-4 to 1e4 and holonomies at 0, 1/4, 1/2 and next to 1: the oriented
+    # row sum keeps 1e-12 relative (its stated accuracy) with a cost fixed in advance
+    mpmath = pytest.importorskip("mpmath")
+    besselk = functools.lru_cache(maxsize=None)(mpmath.besselk)  # the mirrored pairs share rows at ratio 1
+    for ratio in (1e-4, 1e-2, 1.0, 1e2, 1e4):
+        for lam in ((0.0, 0.25), (0.5, 0.999), (0.999, 0.5)):
+            ref = _eh_chowla_selberg_mpmath(mpmath, besselk, s, (ratio, 1.0), lam)
+            res = epstein_hurwitz_zeta(s, ContinuousTorusSpec((ratio, 1.0), lam))
+            assert res.method == "eigensum"
+            assert res.value == pytest.approx(ref, rel=1e-12, abs=0.0), (ratio, lam)
+
+
+def test_eh_refuses_s_outside_window():
+    spec = ContinuousTorusSpec((1.0, 1.0), (0.3, 0.7))
+    for s in (math.nan, math.inf, -math.inf, 10.5, 200.0, -2.5, -60.5):
+        for method in ("auto", "eigensum", "integral_split"):
+            with pytest.raises(PreconditionError, match="finite and in"):
+                epstein_hurwitz_zeta(s, spec, method=method)
+
+
+def test_eh_d1_eigensum_at_window_edge_against_mpmath():
+    # s = 10: (2 pi)^{-2s} alone is 1e-16, the value 3e-7; two Hurwitz zetas keep 1e-13
+    mpmath = pytest.importorskip("mpmath")
+    for alpha, lam in ((1.0, 0.3), (0.01, 0.02), (100.0, 0.5)):
+        with mpmath.workdps(40):
+            ref = float((mpmath.mpf(alpha) / (2 * mpmath.pi)) ** 20 * (mpmath.zeta(20, lam) + mpmath.zeta(20, 1 - mpmath.mpf(lam))))
+        res = epstein_hurwitz_zeta(10.0, ContinuousTorusSpec((alpha,), (lam,)))
+        assert res.method == "eigensum"
+        assert abs(res.value - ref) <= res.error_estimate
+
+
 def test_eh_boundary_holonomy_folds_to_zero():
     a = ContinuousTorusSpec((1.0, 1.0), (1.0, 0.5))
     b = ContinuousTorusSpec((1.0, 1.0), (0.0, 0.5))
     ra = epstein_hurwitz_zeta(2.0, a, method="eigensum")
     rb = epstein_hurwitz_zeta(2.0, b, method="eigensum")
-    assert ra.value == pytest.approx(rb.value, rel=1e-12)
+    assert ra.value == pytest.approx(rb.value, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +248,7 @@ def test_kronecker_value_direct_assembly():
     for m in range(0, 40):
         prod *= (1.0 - math.exp(-2.0 * math.pi * (m + 0.5))) ** 2
     expected = 2.0 * math.pi * (-1.0 / 12.0) - 2.0 * math.log(prod)
-    assert kronecker_deriv0(1.0, 1.0, 0.0, 0.5) == pytest.approx(expected, rel=1e-12)
+    assert kronecker_deriv0(1.0, 1.0, 0.0, 0.5) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_kronecker_value_half_twist_first_slot():
@@ -185,13 +257,20 @@ def test_kronecker_value_half_twist_first_slot():
     for n in range(1, 40):
         prod *= (1.0 + math.exp(-2.0 * math.pi * n)) ** 2
     expected = 2.0 * math.pi / 6.0 - 2.0 * math.log(prod)
-    assert kronecker_deriv0(1.0, 1.0, 0.5, 0.0) == pytest.approx(expected, rel=1e-12)
+    assert kronecker_deriv0(1.0, 1.0, 0.5, 0.0) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_kronecker_symmetric_pair():
     a = kronecker_deriv0(1.0, 1.0, 0.2, 0.6)
     b = kronecker_deriv0(1.0, 1.0, 0.6, 0.2)
     assert a == pytest.approx(b, abs=1e-10)
+
+
+def test_kronecker_long_thin_matches_integral():
+    # rho = 1e-6: swapped to rho = 1e6, a handful of factors and no drift
+    spec = ContinuousTorusSpec((1e-6, 1.0), (0.3, 0.5))
+    closed = kronecker_deriv0(1e-6, 1.0, 0.3, 0.5)
+    assert closed == pytest.approx(epstein_hurwitz_deriv0(spec).value, rel=1e-13, abs=0.0)
 
 
 def test_kronecker_refuses_doubly_trivial():
@@ -310,6 +389,10 @@ def test_torus_zeta_complex_argument():
 
 
 def test_torus_zeta_refuses_trivial_bundle_and_cap():
+    spec = TorusBundleSpec.single_twist(1, (4,), (0.3,))
+    for s in (math.nan, complex(1.0, math.inf)):
+        with pytest.raises(PreconditionError, match="finite"):
+            torus_zeta(s, spec)
     trivial = TorusBundleSpec.single_twist(2, (3, 3), (0.0, 0.0))
     with pytest.raises(PreconditionError):
         torus_zeta(1.0, trivial)
