@@ -44,9 +44,6 @@ from .zeta import (
     torus_zeta,
 )
 
-DENSE_CROSSCHECK_DIM = 2000
-
-
 @dataclass(frozen=True)
 class TorusFamily:
     """Torus bundles with sides a_i(n) = round(alpha_i n) and continuum limit (alpha, lam).
@@ -137,11 +134,7 @@ def log_det(spec: TorusBundleSpec) -> float:
 
 
 def log_det_lu(spec: TorusBundleSpec) -> float:
-    """Independent LU route through the dense assembled Laplacian."""
-    if spec.vertex_count > DENSE_CROSSCHECK_DIM:
-        raise PreconditionError(
-            f"dense LU cross-check capped at dimension {DENSE_CROSSCHECK_DIM}"
-        )
+    """Independent LU route through the dense assembled Laplacian (refused above ``MAX_DENSE_BYTES``)."""
     sign, logabs = laplacian(build_torus(spec)).slogdet()
     if abs(sign - 1.0) > 1e-6:
         raise PreconditionError(f"determinant is not positive real (sign {sign})")

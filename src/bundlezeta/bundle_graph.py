@@ -1,8 +1,8 @@
 """Line-bundle graphs, discrete tori, and the bundle Laplacian.
 
 A line bundle assigns a unit-modulus complex weight to every oriented
-edge, with the inverse weight on the reversed orientation; only one
-orientation is ever stored.  The bundle Laplacian acts as
+edge, with the inverse weight conj(w) = 1/w on the reversed orientation;
+only one orientation is ever stored.  The bundle Laplacian acts as
 
     (L f)(v) = sum over edge-ends at v of ( f(v) - w_{u -> v} f(u) ),
 
@@ -13,7 +13,8 @@ which the closed-form torus spectrum
     { sum_i 4 sin^2(pi (j_i + holonomy_i) / a_i) }
 
 remains valid for side lengths 1 and 2 (self-loops / doubled edges of the
-Cayley construction).
+Cayley construction).  ``build_torus`` and ``laplacian`` refuse, before
+allocating, a dense matrix above ``MAX_DENSE_BYTES`` (256 MiB, N <= 4096).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from .errors import PreconditionError
 
 UNIT_MODULUS_TOL = 1e-12
-MAX_DENSE_DIMENSION = 20000
+MAX_DENSE_BYTES = 2**28  # one dense complex128 matrix: 256 MiB, so N <= 4096
 MAX_EIGENVALUES = 4_000_000  # largest closed-form spectrum built in memory (32 MB)
 
 
@@ -176,6 +177,16 @@ def _refuse_trivial(spec: TorusBundleSpec) -> None:
         raise PreconditionError("trivial bundle (every holonomy 0) has a zero eigenvalue; refused")
 
 
+def _dense_fits(n: int) -> bool:
+    """Whether an n x n complex128 matrix fits the dense budget ``MAX_DENSE_BYTES``."""
+    return 16 * n * n <= MAX_DENSE_BYTES
+
+
+def _refuse_dense(n: int) -> None:
+    if not _dense_fits(n):
+        raise PreconditionError(f"{n} vertices need {16 * n * n} bytes dense, above the dense budget {MAX_DENSE_BYTES}")
+
+
 def _holonomy_of_row(row: Sequence[complex]) -> float:
     turns = sum(cmath.phase(w) for w in row) / (2.0 * math.pi)
     lam = turns - math.floor(turns)
@@ -186,7 +197,7 @@ def _holonomy_of_row(row: Sequence[complex]) -> float:
 
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
-    """Dense complex Hermitian matrix (validated on construction)."""
+    """Dense complex Hermitian matrix, validated on construction in blocks of 256 rows (O(256 N) memory)."""
 
     entries: np.ndarray = field(repr=False)
 
@@ -194,15 +205,15 @@ class HermitianOperator:
         m = np.asarray(entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise PreconditionError("operator must be a square matrix")
-        scale = 1.0 + (np.abs(m).max() if m.size else 0.0)
-        if np.abs(m - m.conj().T).max() > 1e-12 * scale:
+        top = gap = 0.0
+        for i in range(0, len(m), 256):
+            rows = m[i : i + 256]
+            top = max(top, np.abs(rows).max())
+            gap = max(gap, np.abs(rows - m[:, i : i + 256].conj().T).max())
+        if gap > 1e-12 * (1.0 + top):
             raise PreconditionError("matrix is not Hermitian within tolerance")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
-
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
 
     def eigenvalues(self) -> np.ndarray:
         """Sorted real spectrum from the dense Hermitian eigensolver."""
@@ -220,59 +231,35 @@ class HermitianOperator:
 def build_torus(spec: TorusBundleSpec) -> LineBundleGraph:
     """Cayley graph of prod Z/a_i Z with the bundle weights attached.
 
-    Vertices are indexed row-major over (x_1, ..., x_d).  Every vertex has
-    degree 2d counting multiplicity: side length 2 produces doubled edges,
-    side length 1 a self-loop.
+    Vertices are indexed row-major over (x_1, ..., x_d); vertex v emits its
+    +e_i edge for i = 1..d in that order.  Every vertex has degree 2d
+    counting multiplicity: side length 2 produces doubled edges, side
+    length 1 a self-loop.
     """
     n = spec.vertex_count
-    if n > MAX_DENSE_DIMENSION:
-        raise PreconditionError(
-            f"torus has {n} vertices, above the dense-graph cap {MAX_DENSE_DIMENSION}"
-        )
-    strides = [0] * spec.d
-    acc = 1
-    for i in reversed(range(spec.d)):
-        strides[i] = acc
-        acc *= spec.a[i]
-
-    def vertex_index(coords):
-        return sum(c * s for c, s in zip(coords, strides))
-
-    edges = []
-    coords = [0] * spec.d
-    for v in range(n):
-        # decode row-major index
-        rem = v
-        for i in range(spec.d):
-            coords[i] = rem // strides[i]
-            rem %= strides[i]
-        for i in range(spec.d):
-            ai = spec.a[i]
-            xi = coords[i]
-            step = coords.copy()
-            step[i] = (xi + 1) % ai
-            # every vertex emits its +e_i edge: a_i = 2 doubles the pair,
-            # a_i = 1 degenerates to a self-loop, keeping degree 2d throughout
-            edges.append((v, vertex_index(step), spec.weights[i][xi]))
-    return LineBundleGraph(n, edges)
+    _refuse_dense(n)
+    coords = np.indices(spec.a).reshape(spec.d, n)
+    index = np.arange(n).reshape(spec.a)
+    tails = np.repeat(np.arange(n), spec.d)
+    heads = np.stack([np.roll(index, -1, axis=i).ravel() for i in range(spec.d)], axis=1).ravel()
+    weights = np.stack([np.array(spec.weights[i])[coords[i]] for i in range(spec.d)], axis=1).ravel()
+    return LineBundleGraph(n, list(zip(tails.tolist(), heads.tolist(), weights.tolist())))
 
 
 def laplacian(graph: LineBundleGraph) -> HermitianOperator:
-    """Assemble the dense bundle Laplacian of a unit-weight graph."""
+    """Assemble the dense bundle Laplacian of a unit-weight graph.
+
+    Edge by edge, tail -> head with weight w adds 1 at both ends, -w at
+    (head, tail) and -conj(w) at (tail, head), so each entry and its mirror
+    sum conjugate terms in the same order: the matrix is exactly Hermitian.
+    """
     n = graph.vertex_count
-    if n > MAX_DENSE_DIMENSION:
-        raise PreconditionError(
-            f"matrix dimension {n} above the dense cap {MAX_DENSE_DIMENSION}"
-        )
+    _refuse_dense(n)
+    t, h, w = np.array(graph.edges, dtype=complex).reshape(-1, 3).T
+    t, h, one = t.real.astype(np.intp), h.real.astype(np.intp), np.ones_like(w)
     m = np.zeros((n, n), dtype=complex)
-    for tail, head, w in graph.edges:
-        if tail == head:
-            m[tail, tail] += 2.0 - (w + 1.0 / w)
-            continue
-        m[tail, tail] += 1.0
-        m[head, head] += 1.0
-        m[head, tail] -= w
-        m[tail, head] -= 1.0 / w
+    rows, cols = np.stack([t, h, h, t], axis=1).ravel(), np.stack([t, h, t, h], axis=1).ravel()
+    np.add.at(m, (rows, cols), np.stack([one, one, -w, -w.conj()], axis=1).ravel())
     return HermitianOperator(m)
 
 

@@ -21,7 +21,6 @@ import sys
 from pathlib import Path
 
 from .asymptotics import (
-    DENSE_CROSSCHECK_DIM,
     TorusFamily,
     log_det,
     log_det_lu,
@@ -30,7 +29,7 @@ from .asymptotics import (
     rescaled_theta_gap,
     zeta_limit_residuals,
 )
-from .bundle_graph import TorusBundleSpec, build_torus, laplacian, load_spec_file
+from .bundle_graph import TorusBundleSpec, _dense_fits, build_torus, laplacian, load_spec_file
 from .crsf import enumerate_crsfs, kenyon_sum
 from .errors import NonConvergenceError, PreconditionError
 from .heat_theta import ContinuousTorusSpec, theta_continuous, theta_discrete
@@ -144,7 +143,7 @@ def _cmd_detlog(args) -> dict:
         "eigen_logdet": log_det(spec),
         "holonomies": list(spec.holonomies),
     }
-    if spec.vertex_count <= DENSE_CROSSCHECK_DIM:
+    if _dense_fits(spec.vertex_count):
         result["lu_logdet"] = log_det_lu(spec)
     return result
 

@@ -325,19 +325,23 @@ def reciprocal_gamma(s: float) -> float:
 
 
 def hurwitz_zeta(s: float, a: float) -> float:
-    """Hurwitz zeta(s, a) for real s != 1 and a > 0 (Euler-Maclaurin).
+    """Hurwitz zeta(s, a) for real s >= -2, s != 1, and a > 0 (Euler-Maclaurin).
 
     Measured against 40-digit mpmath for a in [0.01, 65]: for s in
     [0.25, 8] the error is within 1e-14 relative, or 5e-15 absolute where
     zeta(s, a) is near a zero in s (1.7e-13 relative at s = 0.5, a = 0.3,
     where the value is 0.011).  Below s = 0 the explicit sum cancels: the
-    worst relative error is 1.7e-13 at s = -0.25, 1.1e-12 at -1, 3.7e-11
-    at -2 and 1.2e-4 at -6.  Every call in the package has s > 0; those
-    above s = 8 come at a in [0.01, 2] or, in binomial tails, a in [64, 66]:
-    within 9e-16 relative of 80-digit mpmath for s in [6, 30] and [8, 41].
+    worst relative error is 1.8e-13 at s = -0.25, 1.1e-12 at -1 and
+    3.7e-11 at -2.  Below s = -2 it is refused before summing (it would be
+    4.5e-10 off at -3 and 1.2e-4 at -6).  Every call in the package has
+    s >= 1.5; those above s = 8 come at a in [0.01, 2] or, in binomial
+    tails, a in [64, 66]: within 9e-16 relative of 80-digit mpmath for s in
+    [6, 30] and [8, 41].
     """
     if s == 1.0:
         raise PreconditionError("hurwitz_zeta has a pole at s = 1")
+    if not s >= -2.0:
+        raise PreconditionError(f"hurwitz_zeta is refused below s = -2 (its error grows to 1.2e-4 at s = -6), got s = {s}")
     if not a > 0:
         raise PreconditionError(f"hurwitz_zeta requires a > 0, got {a}")
     # keep the shifted argument just large enough for the Bernoulli tail;

@@ -1,11 +1,14 @@
 import cmath
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from bundlezeta import bundle_graph
+from bundlezeta.asymptotics import log_det_lu
 from bundlezeta.bundle_graph import (
     HermitianOperator,
     LineBundleGraph,
@@ -88,10 +91,35 @@ def test_vertex_degree_is_2d_with_small_sides():
 
 
 def test_torus_cap_refused():
-    # 150^2 = 22500 vertices, above MAX_DENSE_DIMENSION: refused before the edge loop
+    # 150^2 = 22500 vertices need 8.1 GB dense, above MAX_DENSE_BYTES: refused before any edge array
     spec = TorusBundleSpec.single_twist(2, (150, 150), (0.5, 0.5))
-    with pytest.raises(PreconditionError, match="dense-graph cap"):
+    with pytest.raises(PreconditionError, match="above the dense budget"):
         build_torus(spec)
+
+
+def cycle(n, rng):
+    return LineBundleGraph(n, [(v, (v + 1) % n, unit(rng.uniform(0, 1))) for v in range(n)])
+
+
+def test_dense_budget_refuses_before_allocating(monkeypatch):
+    rng = np.random.default_rng(3)
+    # at the default 256 MiB budget a 4097-vertex cycle is refused with nothing allocated
+    big = cycle(4097, rng)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError, match="above the dense budget"):
+            laplacian(big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # a budget of one 9 x 9 matrix: every dense entry point refuses above it, and admits 9 vertices
+    monkeypatch.setattr(bundle_graph, "MAX_DENSE_BYTES", 16 * 9 * 9)
+    spec = TorusBundleSpec.single_twist(2, (4, 4), (0.3, 0.7))
+    for refused in (lambda: build_torus(spec), lambda: laplacian(cycle(10, rng)), lambda: log_det_lu(spec)):
+        with pytest.raises(PreconditionError, match="above the dense budget"):
+            refused()
+    assert laplacian(cycle(9, rng)).entries.shape == (9, 9)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +151,7 @@ def test_laplacian_three_cycle_determinant_is_four():
     g = build_torus(TorusBundleSpec(1, (3,), [(1, 1, -1)]))
     op = laplacian(g)
     assert np.allclose(np.diag(op.entries), 2.0)
-    assert op.det().real == pytest.approx(4.0, rel=1e-12)
+    assert op.det().real == pytest.approx(4.0, rel=1e-12, abs=0.0)
     assert abs(op.det().imag) <= 1e-12
 
 
@@ -139,7 +167,7 @@ def test_laplacian_2x2_half_twists_det_256():
     spec = TorusBundleSpec(2, (2, 2), [(1, -1), (1, -1)])
     op = laplacian(build_torus(spec))
     # dense LU determinant must match the closed-form eigenvalue product 4^4
-    assert op.det().real == pytest.approx(256.0, rel=1e-12)
+    assert op.det().real == pytest.approx(256.0, rel=1e-12, abs=0.0)
     evs = torus_eigenvalues(spec)
     assert np.allclose(evs, [4.0, 4.0, 4.0, 4.0], atol=1e-12)
 
@@ -149,9 +177,38 @@ def test_laplacian_rejects_nonunit_weight():
         LineBundleGraph(2, [(0, 1, 0.5), (1, 0, 1.0)])
 
 
+def test_laplacian_is_exactly_hermitian():
+    # -conj(w) on the reversed orientation, summed edge by edge: no rounding asymmetry,
+    # also with a self-loop and parallel edges of both orientations
+    rng = np.random.default_rng(8)
+    torus = build_torus(random_spec(rng, 2, (3, 4)))
+    multigraph = LineBundleGraph(
+        3, [(a, b, unit(rng.uniform(0, 1))) for a, b in [(0, 0), (0, 1), (1, 0), (0, 1), (1, 2), (2, 1), (2, 2)]]
+    )
+    for g in (torus, multigraph):
+        m = laplacian(g).entries
+        assert np.array_equal(m, m.conj().T)
+
+
+def test_laplacian_peak_memory_near_one_matrix():
+    g = build_torus(TorusBundleSpec.single_twist(2, (44, 45), (0.3, 0.7)))
+    tracemalloc.start()
+    try:
+        op = laplacian(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * op.entries.nbytes
+
+
 def test_hermitian_validation():
     with pytest.raises(PreconditionError):
         HermitianOperator(np.array([[0.0, 1.0], [0.5, 0.0]]))
+    # the only asymmetric pair sits inside the last (partial) row block
+    m = np.eye(600, dtype=complex)
+    m[599, 550] = 1e-6
+    with pytest.raises(PreconditionError, match="not Hermitian"):
+        HermitianOperator(m)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from bundlezeta import bundle_graph
 from bundlezeta.cli import main
 from bundlezeta.heat_theta import ContinuousTorusSpec
 from bundlezeta.zeta import epstein_hurwitz_deriv0, epstein_hurwitz_zeta
@@ -38,6 +39,14 @@ def test_detlog_three_cycle(capsys):
     assert rep["result"]["eigen_logdet"] == pytest.approx(math.log(4.0), abs=1e-10)
     assert rep["result"]["lu_logdet"] == pytest.approx(math.log(4.0), abs=1e-10)
     assert rep["result"]["holonomies"] == [0.5]
+
+
+def test_detlog_skips_lu_above_dense_budget(capsys, monkeypatch):
+    monkeypatch.setattr(bundle_graph, "MAX_DENSE_BYTES", 16 * 9 * 9)
+    code, rep = run_json(capsys, "detlog", "--d", "2", "--a", "4,4", "--lambda", "0.3,0.7")
+    assert code == 0
+    assert "lu_logdet" not in rep["result"]
+    assert rep["result"]["eigen_logdet"] > 0.0
 
 
 def test_detlog_2x2_from_file(capsys):
@@ -77,7 +86,7 @@ def test_crsf_check_torus22(capsys):
     code, rep = run_json(capsys, "crsf-check", "--weights-file", TORUS22)
     assert code == 0
     assert rep["result"]["abs_err"] < 1e-9
-    assert rep["result"]["det"] == pytest.approx(256.0, rel=1e-11)
+    assert rep["result"]["det"] == pytest.approx(256.0, rel=1e-11, abs=0.0)
 
 
 def test_crsf_check_oversized_graph_refused(capsys, tmp_path):
@@ -284,7 +293,7 @@ def test_theta_table_discrete_csv(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "t,theta_discrete"
-    assert float(lines[1].split(",")[1]) == pytest.approx(2.0 * math.exp(-2.0), rel=1e-12)
+    assert float(lines[1].split(",")[1]) == pytest.approx(2.0 * math.exp(-2.0), rel=1e-12, abs=0.0)
 
 
 def test_theta_table_continuous(capsys):

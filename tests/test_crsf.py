@@ -150,7 +150,7 @@ def test_crsf_weight_orientation_independent():
 
 
 def test_kenyon_sum_twisted_three_cycle():
-    assert kenyon_sum(cycle_graph(3, 0.5)) == pytest.approx(4.0, rel=1e-12)
+    assert kenyon_sum(cycle_graph(3, 0.5)) == pytest.approx(4.0, rel=1e-12, abs=0.0)
 
 
 def test_kenyon_sum_trivial_weights_vanishes():
@@ -162,14 +162,14 @@ def test_kenyon_sum_matches_determinant_on_twisted_2x3():
     spec = TorusBundleSpec.single_twist(2, (2, 3), (0.3, 0.7))
     g = build_torus(spec)
     det = laplacian(g).det().real
-    assert kenyon_sum(g) == pytest.approx(det, rel=1e-11)
+    assert kenyon_sum(g) == pytest.approx(det, rel=1e-11, abs=0.0)
 
 
 def test_kenyon_sum_matches_determinant_on_twisted_2x4():
     rng = np.random.default_rng(5)
     spec = TorusBundleSpec(2, (2, 4), [[unit(rng.uniform(0, 1)) for _ in range(k)] for k in (2, 4)])
     g = build_torus(spec)
-    assert kenyon_sum(g) == pytest.approx(laplacian(g).det().real, rel=1e-11)
+    assert kenyon_sum(g) == pytest.approx(laplacian(g).det().real, rel=1e-11, abs=0.0)
 
 
 @pytest.mark.parametrize(

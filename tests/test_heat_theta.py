@@ -55,7 +55,7 @@ def test_heat_kernel_diagonal_matches_eigen_sum():
     t = 0.5
     oracle = sum(math.exp(-4.0 * t * math.sin(math.pi * j / 3) ** 2) for j in range(3)) / 3.0
     got = heat_kernel(spec, t, (0,))
-    assert got.real == pytest.approx(oracle, rel=1e-12)
+    assert got.real == pytest.approx(oracle, rel=1e-12, abs=0.0)
     assert abs(got.imag) < 1e-14
 
 
@@ -160,19 +160,19 @@ def test_heat_kernel_column_40x40_is_fast():
 
 def test_progression_identity_reduces_to_generating_function():
     lhs, rhs = bessel_progression_sides(1, 2.0, 1.0)
-    assert rhs == pytest.approx(math.exp(2.0), rel=1e-14)
-    assert lhs == pytest.approx(rhs, rel=1e-13)
+    assert rhs == pytest.approx(math.exp(2.0), rel=1e-14, abs=0.0)
+    assert lhs == pytest.approx(rhs, rel=1e-13, abs=0.0)
 
 
 def test_progression_identity_even_part_cosh():
     lhs, rhs = bessel_progression_sides(2, 1.0, 1.0)
     # (e + e^{-1})/2, and independently I_0(1) + 2 sum I_{2k}(1)
-    assert rhs == pytest.approx(math.cosh(1.0), rel=1e-14)
+    assert rhs == pytest.approx(math.cosh(1.0), rel=1e-14, abs=0.0)
     even = bessel_i_scaled(0, 1.0) + 2.0 * sum(
         bessel_i_scaled(2 * k, 1.0) for k in range(1, 15)
     )
-    assert lhs.real == pytest.approx(even * math.exp(1.0), rel=1e-12)
-    assert lhs == pytest.approx(rhs, rel=1e-13)
+    assert lhs.real == pytest.approx(even * math.exp(1.0), rel=1e-12, abs=0.0)
+    assert lhs == pytest.approx(rhs, rel=1e-13, abs=0.0)
 
 
 def test_progression_identity_complex_grid():
@@ -200,12 +200,12 @@ def test_progression_rejects_degenerate_input():
 
 def test_theta_discrete_at_zero_counts_vertices():
     spec = TorusBundleSpec.single_twist(2, (3, 4), (0.2, 0.8))
-    assert theta_discrete(spec, 0.0) == pytest.approx(12.0, rel=1e-14)
+    assert theta_discrete(spec, 0.0) == pytest.approx(12.0, rel=1e-14, abs=0.0)
 
 
 def test_theta_discrete_two_site_half_twist():
     spec = TorusBundleSpec.single_twist(1, (2,), (0.5,))
-    assert theta_discrete(spec, 1.0) == pytest.approx(2.0 * math.exp(-2.0), rel=1e-13)
+    assert theta_discrete(spec, 1.0) == pytest.approx(2.0 * math.exp(-2.0), rel=1e-13, abs=0.0)
 
 
 def test_theta_discrete_equals_trace_and_bessel_form():
@@ -215,9 +215,9 @@ def test_theta_discrete_equals_trace_and_bessel_form():
         for t in (0.3, 1.0, 2.7):
             theta = theta_discrete(spec, t)
             trace = float(np.exp(-t * torus_eigenvalues(spec)).sum())
-            assert theta == pytest.approx(trace, rel=1e-10)
+            assert theta == pytest.approx(trace, rel=1e-10, abs=0.0)
             kernel_trace = spec.vertex_count * heat_kernel(spec, t, (0,) * d).real
-            assert theta == pytest.approx(kernel_trace, rel=1e-10)
+            assert theta == pytest.approx(kernel_trace, rel=1e-10, abs=0.0)
             # weighted Bessel form per direction
             bessel_form = 1.0
             for ai, li in zip(spec.a, spec.holonomies):
@@ -228,7 +228,7 @@ def test_theta_discrete_equals_trace_and_bessel_form():
                     if term < 1e-18:
                         break
                 bessel_form *= ai * acc
-            assert theta == pytest.approx(bessel_form, rel=1e-11)
+            assert theta == pytest.approx(bessel_form, rel=1e-11, abs=0.0)
 
 
 def test_theta_discrete_strictly_decreasing_for_positive_spectrum():
@@ -265,7 +265,7 @@ def test_theta_continuous_large_t_leading_term():
 def test_theta_continuous_small_t_leading_term():
     spec = ContinuousTorusSpec((1.0, 1.0), (0.5, 0.5))
     for t in (1e-3, 1e-2):
-        assert theta_continuous(spec, t) == pytest.approx(1.0 / (4.0 * math.pi * t), rel=1e-10)
+        assert theta_continuous(spec, t) == pytest.approx(1.0 / (4.0 * math.pi * t), rel=1e-10, abs=0.0)
 
 
 def test_theta_forms_agree_at_unit_time():
@@ -297,7 +297,7 @@ def test_theta_minus_leading_no_cancellation():
             1.0 * 2.0 / (4.0 * math.pi * t)
         )
         controlled = theta_continuous_minus_leading(spec, t)
-        assert controlled == pytest.approx(direct, rel=1e-9)
+        assert controlled == pytest.approx(direct, rel=1e-9, abs=0.0)
     # deep in the cancellation regime (difference ~ 1e-52 vs theta ~ 1e2) the
     # controlled form must still match the analytic k = 1 term
     t = 2e-3
@@ -312,7 +312,7 @@ def test_theta_handles_boundary_holonomy_one():
     a = ContinuousTorusSpec((1.3,), (1.0,))
     b = ContinuousTorusSpec((1.3,), (0.0,))
     for t in (0.1, 1.0, 3.0):
-        assert theta_continuous(a, t) == pytest.approx(theta_continuous(b, t), rel=1e-13)
+        assert theta_continuous(a, t) == pytest.approx(theta_continuous(b, t), rel=1e-13, abs=0.0)
 
 
 @given(st.floats(0.05, 1e4), st.floats(1e-3, 100.0), st.floats(0.0, 1.0))

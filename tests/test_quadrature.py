@@ -102,7 +102,7 @@ def test_exponential_moments(rate, power):
         tail=TailRule("exp", rate),
     )
     expected = math.gamma(power + 1.0) / rate ** (power + 1.0)
-    assert res.value == pytest.approx(expected, rel=1e-9)
+    assert res.value == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
 def test_result_is_frozen_record():

@@ -75,12 +75,12 @@ def test_bessel_branch_consistency():
     for x in (30.0, 35.0):
         arr = _bessel_miller_scaled(8, x)
         for n in (0, 1, 3, 8):
-            assert _bessel_series_scaled(n, x) == pytest.approx(float(arr[n]), rel=1e-12)
+            assert _bessel_series_scaled(n, x) == pytest.approx(float(arr[n]), rel=1e-12, abs=0.0)
     # Miller vs asymptotic for small order, large argument
     for x in (50.0, 300.0, 5e4):
         arr = _bessel_miller_scaled(3, x)
         for n in range(4):
-            assert _bessel_asymptotic_scaled(n, x) == pytest.approx(float(arr[n]), rel=1e-11)
+            assert _bessel_asymptotic_scaled(n, x) == pytest.approx(float(arr[n]), rel=1e-11, abs=0.0)
     # Debye vs Miller at the order cutoff
     direct = float(_bessel_miller_scaled(1100, 900.0)[1000])
     assert _bessel_debye_scaled(1000, 900.0) == pytest.approx(direct, rel=1e-9, abs=0.0)
@@ -131,7 +131,7 @@ def test_bessel_complex_conjugate_symmetry():
     for n in (0, 1, 5):
         a = bessel_i_complex(n, z)
         b = bessel_i_complex(n, z.conjugate())
-        assert a == pytest.approx(b.conjugate(), rel=1e-13)
+        assert a == pytest.approx(b.conjugate(), rel=1e-13, abs=0.0)
 
 
 def test_log_bessel_i0_scaled_small_and_moderate():
@@ -141,10 +141,10 @@ def test_log_bessel_i0_scaled_small_and_moderate():
         assert log_bessel_i0_scaled(x) == pytest.approx(0.25 * x * x - x, rel=1e-12, abs=0.0)
     for x in (0.02, 0.09):
         oracle = math.log(bessel_i_series(0, x)) - x
-        assert log_bessel_i0_scaled(x) == pytest.approx(oracle, rel=1e-12)
+        assert log_bessel_i0_scaled(x) == pytest.approx(oracle, rel=1e-12, abs=0.0)
     for x in (0.5, 4.0, 80.0):
         assert log_bessel_i0_scaled(x) == pytest.approx(
-            math.log(bessel_i_scaled(0, x)), rel=1e-13
+            math.log(bessel_i_scaled(0, x)), rel=1e-13, abs=0.0
         )
 
 
@@ -159,7 +159,7 @@ def test_hurwitz_zeta_trivial_values():
     # zeta(2, 1) = pi^2/6 against the plain series oracle
     oracle = sum(1.0 / k**2 for k in range(1, 200000))
     assert hurwitz_zeta(2.0, 1.0) == pytest.approx(oracle, abs=1e-5)
-    assert hurwitz_zeta(2.0, 1.0) == pytest.approx(math.pi**2 / 6.0, rel=1e-13)
+    assert hurwitz_zeta(2.0, 1.0) == pytest.approx(math.pi**2 / 6.0, rel=1e-13, abs=0.0)
 
 
 @given(st.floats(0.05, 0.95))
@@ -177,18 +177,25 @@ def test_hurwitz_zeta_series_oracle_seam():
     # direct lattice tail: zeta(3, a) should match brute-force summation
     for a in (0.25, 0.8, 7.5):
         oracle = sum((k + a) ** -3.0 for k in range(40000))
-        assert hurwitz_zeta(3.0, a) == pytest.approx(oracle, rel=1e-7)
+        assert hurwitz_zeta(3.0, a) == pytest.approx(oracle, rel=1e-7, abs=0.0)
 
 
-@pytest.mark.parametrize("s", [0.25, 0.5, 2.0, 4.0, 8.0])
-def test_hurwitz_zeta_against_mpmath_on_documented_range(s):
-    # the docstring's measured range: 1e-14 relative, or 5e-15 absolute near a zero
-    # of zeta(s, a) (zeta(0.5, 0.3) = 0.011 sits next to one)
+HURWITZ_FIGURES = [(s, 1e-14, 5e-15) for s in (0.25, 0.5, 2.0, 4.0, 8.0)] + [
+    (-0.25, 1.8e-13, 0.0),
+    (-1.0, 1.1e-12, 0.0),
+    (-2.0, 3.7e-11, 0.0),
+]
+
+
+@pytest.mark.parametrize("s,rel,floor", HURWITZ_FIGURES, ids=[str(f[0]) for f in HURWITZ_FIGURES])
+def test_hurwitz_zeta_against_mpmath_on_documented_range(s, rel, floor):
+    # the docstring's measured figures: for s > 0, 1e-14 relative or 5e-15 absolute near a
+    # zero of zeta(s, a) (zeta(0.5, 0.3) = 0.011 sits next to one); below 0, relative only
     mpmath = pytest.importorskip("mpmath")
     for a in (0.01, 0.3, 0.7, 2.5, 31.3, 64.9):
         with mpmath.workdps(40):  # at default precision mpmath's zeta(12, 65.3) is 2.6e-8 off
             exact = float(mpmath.zeta(s, a))
-        assert abs(hurwitz_zeta(s, a) - exact) <= max(1e-14 * abs(exact), 5e-15)
+        assert abs(hurwitz_zeta(s, a) - exact) <= max(rel * abs(exact), floor)
 
 
 @pytest.mark.parametrize(
@@ -229,13 +236,20 @@ def test_hurwitz_zeta_pole_refused():
         hurwitz_zeta(2.0, 0.0)
 
 
+@pytest.mark.parametrize("s", [-2.5, -6.0, math.nan])
+def test_hurwitz_zeta_refuses_below_minus_two(s):
+    # below s = -2 the explicit sum cancels to 4.5e-10 (s = -3) and 1.2e-4 (s = -6) relative
+    with pytest.raises(PreconditionError, match="below s = -2"):
+        hurwitz_zeta(s, 0.3)
+
+
 def test_reciprocal_gamma_zeros_and_values():
     for s in (0.0, -1.0, -2.0, -7.0):
         assert reciprocal_gamma(s) == 0.0
-    assert reciprocal_gamma(3.0) == pytest.approx(0.5, rel=1e-14)
-    assert reciprocal_gamma(0.5) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-13)
+    assert reciprocal_gamma(3.0) == pytest.approx(0.5, rel=1e-14, abs=0.0)
+    assert reciprocal_gamma(0.5) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-13, abs=0.0)
     assert reciprocal_gamma(-0.5) == pytest.approx(
-        1.0 / math.gamma(-0.5), rel=1e-12
+        1.0 / math.gamma(-0.5), rel=1e-12, abs=0.0
     )
 
 
