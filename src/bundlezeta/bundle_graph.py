@@ -224,6 +224,7 @@ class HermitianOperator:
         return complex(np.linalg.det(self.entries))
 
     def slogdet(self) -> tuple[complex, float]:
+        """(sign, log|det|) by LAPACK's LU, which works on a copy: the peak is twice the matrix."""
         sign, logabs = np.linalg.slogdet(self.entries)
         return complex(sign), float(logabs)
 

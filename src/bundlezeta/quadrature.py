@@ -8,6 +8,9 @@ caller declares:
 * exponential decay ``f ~ e^{-c t}``:  t = T - log(v)/c,
 * power decay       ``f ~ t^{-p}``  :  t = T * v^{-1/(p-1)}  (p > 1).
 
+``_mellin_split`` (head on (0, t0], tail on [t0, inf), closed-form terms) is
+the one Mellin split behind the zeta brackets and the log-det correction.
+
 Non-convergence always raises; a value is never silently returned with an
 unmet tolerance.
 """
@@ -163,7 +166,7 @@ def integrate_interval(f, a: float, b: float, spec: QuadratureSpec | None = None
 
 def _tail_cut(lower: float, tail: TailRule) -> float:
     if tail.kind == "exp":
-        return lower + max(2.0, 30.0 / tail.rate)
+        return lower + 30.0 / tail.rate
     return max(20.0, 2.0 * (lower + 1.0))
 
 
@@ -184,26 +187,18 @@ def integrate_semi_infinite(
         raise PreconditionError("lower limit must be finite and >= 0")
 
     cut = _tail_cut(lower, tail)
-    sub_spec = QuadratureSpec(
-        abs_tol=spec.abs_tol / 3.0,
-        rel_tol=spec.rel_tol / 2.0,
-        max_subdivisions=spec.max_subdivisions,
-    )
+    sub_spec = QuadratureSpec(spec.abs_tol / 3.0, spec.rel_tol / 2.0, spec.max_subdivisions)
     head = integrate_interval(f, lower, cut, sub_spec)
-
     if tail.kind == "exp":
-        c = tail.rate
 
-        def tail_integrand(v, _f=f, _T=cut, _c=c):
-            return _f(_T - math.log(v) / _c) / (_c * v)
+        def tail_integrand(v, c=tail.rate):
+            return f(cut - math.log(v) / c) / (c * v)
 
     else:
-        p = tail.rate
-        expo = 1.0 / (p - 1.0)
+        e = 1.0 / (tail.rate - 1.0)
 
-        def tail_integrand(v, _f=f, _T=cut, _e=expo):
-            t = _T * v**-_e
-            return _f(t) * _e * _T * v ** (-_e - 1.0)
+        def tail_integrand(v):
+            return f(cut * v**-e) * e * cut * v ** (-e - 1.0)
 
     res = integrate_interval(tail_integrand, 0.0, 1.0, sub_spec)
     value = head.value + res.value
@@ -217,3 +212,18 @@ def integrate_semi_infinite(
             error_estimate=error,
         )
     return QuadratureResult(value, error, evals)
+
+
+def _mellin_split(head, tail, rule: TailRule, t0: float, known, spec: QuadratureSpec) -> tuple[float, float]:
+    """int_0^t0 head + int_t0^inf tail + sum(known), and its error estimate.
+
+    Each integral is asked for at ``spec``; ``rule`` declares the tail's decay.
+    The estimate is the sum of the two quadrature estimates, or the rounding
+    eps (|head| + |tail| + sum |known|) where the bracket cancels more, so a
+    cancelled bracket cannot report 0.
+    """
+    lo = integrate_interval(head, 0.0, t0, spec)
+    hi = integrate_semi_infinite(tail, t0, spec, tail=rule)
+    parts = (lo.value, hi.value, *known)
+    cancellation = math.ulp(1.0) * sum(abs(p) for p in parts)
+    return sum(parts), max(lo.error_estimate + hi.error_estimate, cancellation)

@@ -8,14 +8,17 @@ cross-validates itself:
 * ``eigensum``       -- lattice sums over the continuum spectrum (d <= 2),
                         in oriented Chowla-Selberg rows of bounded cost,
 * ``integral_split`` -- Mellin integrals of the theta function, split at
-                        t = 1 with the (4 pi t)^{-d/2} leading term removed
-                        on (0, 1]; this is the analytic continuation and is
-                        valid for every s away from the pole at d/2.
+                        t0 with the (4 pi t)^{-d/2} leading term removed on
+                        (0, t0]; this is the analytic continuation and is
+                        valid for every s away from the pole at d/2.  For the
+                        continuum torus t0 follows theta's own decay scale
+                        (``_eh_bracket``); the integer lattice splits at 1.
 
 Each derivative at s = 0 is its own split bracket at s = 0 (the zeta
-vanishes there), so it shares the integrals of its zeta.  On (0, 1] the
+vanishes there), so it shares the integrals of its zeta.  On (0, t0] the
 continuum integrand is theta minus its leading term, taken without
-cancellation (the Poisson-dual bracket at small t).
+cancellation (the Poisson-dual bracket at small t).  Every bracket is one
+call of ``quadrature._mellin_split``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from .bundle_graph import TorusBundleSpec, _refuse_trivial, torus_eigenvalues
 from .errors import PreconditionError
 from .heat_theta import ContinuousTorusSpec, theta_continuous, theta_continuous_minus_leading
-from .quadrature import QuadratureSpec, TailRule, integrate_interval, integrate_semi_infinite
+from .quadrature import QuadratureSpec, TailRule, _mellin_split, integrate_semi_infinite
 from .special_functions import (
     bessel_i0_scaled_ratio_minus_one,
     bessel_i_scaled,
@@ -191,12 +194,13 @@ def epstein_hurwitz_zeta(
     ``method="eigensum"`` (d <= 2, s >= d/2 + 0.25) is the oriented row sum of
     ``_eigensum``, of bounded cost at every aspect ratio, with the nominal estimate
     1e-13 |value| (d = 1) or 1e-12 |value| (d = 2); ``method="integral_split"`` is
-    the Mellin-split analytic continuation.  Holonomy 1 is folded to 0.
+    the Mellin-split analytic continuation (``_eh_bracket``).  Holonomy 1 is folded to 0.
 
     s must lie in [-2, 10]: there both routes kept their stated accuracy against
-    mpmath at alpha in [0.01, 1000] (d = 1) and aspect ratios 1e-4 to 1e4 (eigensum)
-    or 0.01 to 100 (split, d = 2).  Above 10 the dropped Bessel terms pass 1e-12;
-    below -2 the split of long tori misreports its error.
+    mpmath at alpha in [0.01, 1e4] (d = 1; 1e-10 relative for the split) and, in
+    d = 2, at aspect ratios 1e-4 to 1e4 (eigensum) or 1e-6 to 1e6 (split, checked
+    against the eigensum at s = 1.5, 2 and 3).  Above 10 the dropped Bessel terms
+    pass 1e-12; below -2 no route has been checked.
     """
     if not -2.0 <= s <= 10.0:
         raise PreconditionError(f"s must be finite and in [-2, 10], got {s}")
@@ -220,45 +224,39 @@ def epstein_hurwitz_zeta(
 
 
 def _eh_bracket(s: float, spec: ContinuousTorusSpec, quad: QuadratureSpec) -> tuple[float, float]:
-    """Gamma(s) times the continuum zeta by the Mellin split at t = 1, and its error estimate:
+    """Gamma(s) times the continuum zeta by the Mellin split at t0, and its error estimate:
 
-        int_1^inf theta(t) t^{s-1} dt
-        + int_0^1 (theta(t) - prod(alpha) (4 pi t)^{-d/2}) t^{s-1} dt
-        + prod(alpha) (4 pi)^{-d/2} / (s - d/2),
+        int_0^t0 (theta(t) - prod(alpha) (4 pi t)^{-d/2}) t^{s-1} dt
+        + int_t0^inf theta(t) t^{s-1} dt
+        + prod(alpha) (4 pi)^{-d/2} t0^{s-d/2} / (s - d/2).
 
-    both integrands in the form rule of ``heat_theta``, the head one without
-    cancellation.  With no zero mode the zeta vanishes at 0, so at s = 0 the
-    bracket is the derivative there.
+    Both integrands follow the form rule of ``heat_theta``, the head one without
+    cancellation.  t0 is 1 clamped into [T, 10 T], T = 1/(4 pi^2 min_freq) the
+    decay scale of theta (so t0 = 1 exactly when T is in [0.1, 1]).  Measured
+    against mpmath and Chowla-Selberg sums (d = 1 at alpha 0.01..1e4, d = 2 at
+    aspect ratios 1e-6..1e6), every t0 in [0.1 T, 10 T] kept 1e-11 relative;
+    100 T lost 1e-2 at s = 10, and 1e-3 T lost 1e-4 beyond its estimate.  The
+    split runs in units of t0 (t0^s factored out), so its absolute tolerance is
+    taken at the torus's own scale.  With no zero mode the zeta vanishes at 0, so at s = 0 the bracket
+    is the derivative there.
     """
-    d = spec.d
-    leading = math.prod(spec.alpha) * (4.0 * math.pi) ** (-0.5 * d)
-    tail_part = integrate_semi_infinite(
-        lambda t: theta_continuous(spec, t) * t ** (s - 1.0),
-        1.0,
-        quad,
-        tail=TailRule("exp", 4.0 * math.pi**2 * _min_frequency(spec)),
-    )
-    head_part = integrate_interval(
-        lambda t: theta_continuous_minus_leading(spec, t) * t ** (s - 1.0),
-        0.0,
-        1.0,
+    d, rate = spec.d, 4.0 * math.pi**2 * _min_frequency(spec)
+    t0 = min(max(1.0, 1.0 / rate), 10.0 / rate)
+    value, err = _mellin_split(
+        lambda t: theta_continuous_minus_leading(spec, t) * (t / t0) ** (s - 1.0) / t0,
+        lambda t: theta_continuous(spec, t) * (t / t0) ** (s - 1.0) / t0,
+        TailRule("exp", rate),
+        t0,
+        (math.prod(spec.alpha) * (4.0 * math.pi * t0) ** (-0.5 * d) / (s - 0.5 * d),),
         quad,
     )
-    bracket = tail_part.value + head_part.value + leading / (s - 0.5 * d)
-    return bracket, tail_part.error_estimate + head_part.error_estimate
+    return t0**s * value, t0**s * err
 
 
 def epstein_hurwitz_deriv0(spec: ContinuousTorusSpec, quad: QuadratureSpec | None = None) -> ZetaEvaluation:
-    """d/ds at s = 0 of the continuum spectral zeta: the Mellin-split bracket
-    of ``epstein_hurwitz_zeta`` at s = 0,
-
-        int_1^inf theta(t) dt/t
-        + int_0^1 (theta(t) - prod(alpha) (4 pi t)^{-d/2}) dt/t
-        - (2/d) prod(alpha) (4 pi)^{-d/2},
-
-    with the middle integrand free of cancellation (the Poisson-dual bracket
-    at small t).  In dimension two ``kronecker_deriv0`` is the independent
-    closed form.
+    """d/ds at s = 0 of the continuum spectral zeta: ``_eh_bracket`` at s = 0, where
+    its closed-form term is -(2/d) prod(alpha) (4 pi t0)^{-d/2}.  In dimension two
+    ``kronecker_deriv0`` is the independent closed form.
     """
     _require_nontrivial(spec)
     quad = quad or QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11, max_subdivisions=8000)
@@ -295,31 +293,20 @@ def _lattice_bracket(s: float, d: int, quad: QuadratureSpec) -> tuple[float, flo
     def head(t: float) -> float:
         return _scaled_i0_power_minus_one(d, t) * t ** (s - 1.0)
 
-    if s < 1.0:
-        # integrand ~ -2d t^s at 0; rectify the fractional power exactly
-        head_res = _rectified_unit_integral(head, s, quad)
-    else:
-        head_res = integrate_interval(head, 0.0, 1.0, quad)
-
-    def tail(t: float) -> float:
-        return _scaled_i0_power_minus_leading(d, t) * t ** (s - 1.0)
-
-    tail_res = integrate_semi_infinite(
-        tail, 1.0, quad, tail=TailRule("power", 0.5 * d + 2.0 - s)
+    return _mellin_split(
+        _rectified_unit_integrand(head, s) if s < 1.0 else head,  # head ~ -2d t^s at 0
+        lambda t: _scaled_i0_power_minus_leading(d, t) * t ** (s - 1.0),
+        TailRule("power", 0.5 * d + 2.0 - s),
+        1.0,
+        ((4.0 * math.pi) ** (-0.5 * d) / (0.5 * d - s),),
+        quad,
     )
-    bracket = head_res.value + tail_res.value + (4.0 * math.pi) ** (-0.5 * d) / (0.5 * d - s)
-    return bracket, head_res.error_estimate + tail_res.error_estimate
 
 
-def _rectified_unit_integral(f, beta: float, quad: QuadratureSpec):
-    """integral over (0, 1] of f with f ~ C t^{beta} at 0 (beta > -1)."""
+def _rectified_unit_integrand(f, beta: float):
+    """g with int_0^1 g = int_0^1 f for f ~ C t^{beta} at 0 (beta > -1): t = u^{1/(1+beta)} makes g smooth."""
     gamma = 1.0 / (1.0 + beta)
-
-    def g(u: float) -> float:
-        t = u**gamma
-        return f(t) * gamma * u ** (gamma - 1.0)
-
-    return integrate_interval(g, 0.0, 1.0, quad)
+    return lambda u: f(u**gamma) * gamma * u ** (gamma - 1.0)
 
 
 def lattice_zeta(s: float, d: int, quad: QuadratureSpec | None = None) -> ZetaEvaluation:

@@ -1,7 +1,11 @@
 import cmath
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +65,32 @@ def test_log_det_matches_lu_route():
         lam = tuple(rng.uniform(0.05, 0.95, d))
         spec = TorusBundleSpec.single_twist(d, a, lam)
         assert log_det(spec) == pytest.approx(log_det_lu(spec), abs=1e-9)
+
+
+_LU_PEAK_CHILD = """
+from bundlezeta.asymptotics import log_det_lu
+from bundlezeta.bundle_graph import TorusBundleSpec
+
+def hwm_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+log_det_lu(TorusBundleSpec.single_twist(2, (3, 4), (0.3, 0.7)))  # LAPACK's one-time buffers
+before = hwm_kib()
+log_det_lu(TorusBundleSpec.single_twist(2, (44, 45), (0.3, 0.7)))
+print(hwm_kib() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_log_det_lu_peak_at_most_2_3_matrices():
+    # slogdet copies the matrix for LAPACK's LU, so the peak is the matrix twice plus assembly slack
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _LU_PEAK_CHILD], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    matrix = 16 * 1980**2  # 44 x 45 vertices of complex128: 62.7 MB
+    assert 1024 * int(proc.stdout) <= 2.3 * matrix
 
 
 def test_log_det_star_small_cases():

@@ -8,10 +8,11 @@ from bundlezeta.quadrature import (
     QuadratureResult,
     QuadratureSpec,
     TailRule,
+    _mellin_split,
     integrate_interval,
     integrate_semi_infinite,
 )
-from bundlezeta.zeta import _rectified_unit_integral
+from bundlezeta.zeta import _rectified_unit_integrand
 
 
 def test_interval_polynomial_exact():
@@ -41,16 +42,39 @@ def test_semi_infinite_gaussian_against_closed_form():
     assert res.value == pytest.approx(0.5 * math.sqrt(math.pi), abs=1e-12)
 
 
+def test_fast_exponential_tail_is_resolved():
+    # the finite head of an exp tail ends at lower + 30/rate; a floor of 2 put every node past e^{-3.6e12 t}
+    f = lambda t: math.exp(-3.6e12 * t)
+    ref = math.exp(-0.36) / 3.6e12
+    fine = integrate_semi_infinite(f, 1e-13, QuadratureSpec(abs_tol=1e-30, rel_tol=1e-12), TailRule("exp", 3.6e12))
+    assert fine.value == pytest.approx(ref, rel=1e-12, abs=0.0)
+    default = integrate_semi_infinite(f, 1e-13, tail=TailRule("exp", 3.6e12))
+    assert default.value > 0.0 and abs(default.value - ref) <= default.error_estimate
+
+
+def test_mellin_split_estimate_covers_cancellation():
+    # exact pieces that cancel: the quadrature estimates are 0, the rounding of the sum is not
+    value, err = _mellin_split(lambda t: 1.0, lambda t: 0.0, TailRule("exp", 1.0), 2.0, (-2.0,), QuadratureSpec())
+    assert value == 0.0 and err == 4.0 * math.ulp(1.0)
+    # elsewhere the estimate is the sum of the two quadrature estimates, unchanged
+    spec, rule = QuadratureSpec(), TailRule("exp", 1.0)
+    head = integrate_interval(lambda t: t, 0.0, 1.0, spec)
+    tail = integrate_semi_infinite(lambda t: math.exp(-t), 1.0, spec, tail=rule)
+    value, err = _mellin_split(lambda t: t, lambda t: math.exp(-t), rule, 1.0, (-0.5,), spec)
+    assert value == head.value + tail.value - 0.5
+    assert err == head.error_estimate + tail.error_estimate > math.ulp(1.0) * (head.value + tail.value + 0.5)
+
+
 def test_singular_endpoint_power():
     # int_0^1 t^{-1/2} e^{-t} dt = sqrt(pi) erf(1), rectified by t = u^2
-    res = _rectified_unit_integral(lambda t: math.exp(-t) / math.sqrt(t), -0.5, QuadratureSpec())
+    res = integrate_interval(_rectified_unit_integrand(lambda t: math.exp(-t) / math.sqrt(t), -0.5), 0.0, 1.0)
     assert res.value == pytest.approx(math.sqrt(math.pi) * math.erf(1.0), rel=1e-13, abs=0.0)
 
 
 def test_positive_exponent_rectification():
     # int_0^1 t^{1/4} e^{-t} dt = lower incomplete gamma(5/4, 1) = sum_k (-1)^k / (k! (5/4 + k))
     expected = math.fsum((-1) ** k / (math.factorial(k) * (1.25 + k)) for k in range(30))
-    res = _rectified_unit_integral(lambda t: t**0.25 * math.exp(-t), 0.25, QuadratureSpec())
+    res = integrate_interval(_rectified_unit_integrand(lambda t: t**0.25 * math.exp(-t), 0.25), 0.0, 1.0)
     assert res.value == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 

@@ -107,6 +107,14 @@ def test_eh_method_agreement_d2():
         a = epstein_hurwitz_zeta(s, spec, method="eigensum")
         b = epstein_hurwitz_zeta(s, spec, method="integral_split")
         assert abs(a.value - b.value) <= 1e-9 * (1.0 + abs(a.value))
+    # long thin tori: the split at t = 1 read 0.0 +- 0.0 at (1e-6, 1), s = 2, where the zeta is 4.1e-20
+    cases = [(2.0, (1e-6, 1.0), (0.3, 0.3)), (2.0, (1.0, 1e-6), (0.3, 0.3))]
+    cases += [(s, (r, 1.0), lam) for r in (1e-6, 1e-4, 1e-2, 1e2, 1e4, 1e6) for lam in ((0.3, 0.7), (0.02, 0.5)) for s in (1.5, 3.0)]
+    for s, alpha, lam in cases:
+        spec = ContinuousTorusSpec(alpha, lam)
+        a = epstein_hurwitz_zeta(s, spec, method="eigensum")
+        b = epstein_hurwitz_zeta(s, spec, method="integral_split")
+        assert b.value == pytest.approx(a.value, rel=1e-10, abs=0.0), (s, alpha, lam)
 
 
 def test_eh_refusals():
@@ -225,14 +233,25 @@ def test_eh_deriv0_small_and_large_alpha():
         assert res.value == pytest.approx(expected, rel=0.0, abs=1e-13)
 
 
+def _eh_d1_mpmath(mpmath, s, alpha, lam):
+    with mpmath.workdps(30):
+        lam = mpmath.mpf(lam)
+        return float((2 * mpmath.pi / alpha) ** (-2 * s) * (mpmath.zeta(2 * s, lam) + mpmath.zeta(2 * s, 1 - lam)))
+
+
 def test_eh_split_small_alpha_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
     s, alpha, lam = 0.25, 0.1, 0.3
-    with mpmath.workdps(30):
-        ref = float((2 * mpmath.pi / alpha) ** (-2 * s) * (mpmath.zeta(2 * s, lam) + mpmath.zeta(2 * s, 1 - lam)))
     res = epstein_hurwitz_zeta(s, ContinuousTorusSpec((alpha,), (lam,)))
     assert res.method == "integral_split"
-    assert res.value == pytest.approx(ref, rel=1e-13, abs=0.0)
+    assert res.value == pytest.approx(_eh_d1_mpmath(mpmath, s, alpha, lam), rel=1e-13, abs=0.0)
+    # the split point follows the torus's scale: at t = 1, alpha = 1e4, s = -1.8 read -385 +- 1e-16 (zeta 2.07e-14)
+    cases = [(-1.8, 1e4, 0.02)]
+    cases += [(s, alpha, lam) for alpha in (0.01, 1.0, 100.0, 1e4) for s in (-2.0, -1.0, 0.25, 2.0, 10.0) for lam in (0.02, 0.3)]
+    for s, alpha, lam in cases:
+        ref = _eh_d1_mpmath(mpmath, s, alpha, lam)
+        res = epstein_hurwitz_zeta(s, ContinuousTorusSpec((alpha,), (lam,)), method="integral_split")
+        assert abs(res.value - ref) <= min(1e-10 * abs(ref), res.error_estimate), (s, alpha, lam)
 
 
 def test_eh_deriv0_matches_kronecker_on_mixed_case():
