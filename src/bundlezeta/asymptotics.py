@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bundle_graph import MAX_EIGENVALUES, TorusBundleSpec, _holonomy_of_row, _refuse_trivial, build_torus, laplacian, line_spectrum, outer_spectrum
+from .bundle_graph import TorusBundleSpec, _holonomy_of_row, _refuse_above_cap, _refuse_trivial, build_torus, laplacian, line_spectrum, outer_spectrum
 from .errors import PreconditionError
 from .heat_theta import ContinuousTorusSpec, theta_continuous, theta_discrete, theta_discrete_minus_leading
 from .quadrature import QuadratureSpec, TailRule, _mellin_split, integrate_semi_infinite
@@ -275,8 +275,7 @@ def product_formula_check(m: Sequence[int], n: int, z: Sequence[complex]) -> tup
     m = tuple(int(x) for x in m)
     if any(x < 1 for x in m) or n < 1:
         raise PreconditionError("m entries and n must be positive integers")
-    if math.prod(mi * n for mi in m) > MAX_EIGENVALUES:
-        raise PreconditionError("product torus above the eigenvalue cap")
+    _refuse_above_cap(math.prod(mi * n for mi in m), "product-torus vertices")
 
     lhs = log_f(tuple(mi * n for mi in m), z)
 

@@ -172,9 +172,16 @@ class TorusBundleSpec:
         return math.prod(self.a)
 
 
-def _refuse_trivial(spec: TorusBundleSpec) -> None:
+def _refuse_trivial(spec) -> None:
+    """Refuse a torus (discrete ``TorusBundleSpec`` or continuum ``ContinuousTorusSpec``) whose holonomies are all 0."""
     if spec.is_trivial:
         raise PreconditionError("trivial bundle (every holonomy 0) has a zero eigenvalue; refused")
+
+
+def _refuse_above_cap(count: int, what: str) -> None:
+    """Refuse, before allocating, more than ``MAX_EIGENVALUES`` closed-form values."""
+    if count > MAX_EIGENVALUES:
+        raise PreconditionError(f"{count} {what} requested, above the cap {MAX_EIGENVALUES}")
 
 
 def _dense_fits(n: int) -> bool:
@@ -281,11 +288,7 @@ def outer_spectrum(sides: Sequence[int], lams: Sequence[float]) -> np.ndarray:
     Row-major over (j_1, ..., j_d), so entry 0 takes j_i = 0 everywhere.
     Refuses before allocating when the count exceeds ``MAX_EIGENVALUES``.
     """
-    count = math.prod(sides)
-    if count > MAX_EIGENVALUES:
-        raise PreconditionError(
-            f"{count} closed-form eigenvalues requested, above the cap {MAX_EIGENVALUES}"
-        )
+    _refuse_above_cap(math.prod(sides), "closed-form eigenvalues")
     total = np.zeros(1)
     for a, lam in zip(sides, lams):
         total = (total[:, None] + line_spectrum(a, lam)[None, :]).ravel()
@@ -304,58 +307,56 @@ def torus_eigenvalues(spec: TorusBundleSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _fields(obj, names: set[str], what: str) -> dict:
+    """obj, once it is a JSON object holding exactly the fields ``names``."""
+    if not isinstance(obj, dict):
+        raise PreconditionError(f"{what} must be a JSON object, got {obj!r}")
+    if set(obj) != names:
+        raise PreconditionError(f"{what} fields must be {sorted(names)}, got {sorted(obj)}")
+    return obj
+
+
+def _integer(value, what: str) -> int:
+    """A JSON number with an integral value, as an int (3.0 is 3; 3.7 is refused, not truncated)."""
+    if not (isinstance(value, (int, float)) and float(value).is_integer()):
+        raise PreconditionError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _parse_weight(obj) -> complex:
-    if isinstance(obj, dict):
-        if set(obj) == {"re", "im"}:
-            return complex(float(obj["re"]), float(obj["im"]))
-        if set(obj) == {"angle"}:
-            return cmath.exp(2j * math.pi * float(obj["angle"]))
-        raise PreconditionError(
-            f"weight object must have fields {{re, im}} or {{angle}}, got {sorted(obj)}"
-        )
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    raise PreconditionError(f"cannot parse weight from {obj!r}")
+    parts = obj if isinstance(obj, dict) else {"re": obj, "im": 0.0}
+    if set(parts) not in ({"re", "im"}, {"angle"}):
+        raise PreconditionError(f"weight object must have fields {{re, im}} or {{angle}}, got {sorted(parts)}")
+    if not all(isinstance(x, (int, float)) for x in parts.values()):
+        raise PreconditionError(f"cannot parse weight from {obj!r}")
+    if "angle" in parts:
+        return cmath.exp(2j * math.pi * float(parts["angle"]))
+    return complex(float(parts["re"]), float(parts["im"]))
 
 
 def parse_torus_spec(data: dict) -> TorusBundleSpec:
-    allowed = {"dimension", "sides", "weights"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise PreconditionError(f"unknown torus-spec fields: {sorted(unknown)}")
-    for key in allowed:
-        if key not in data:
-            raise PreconditionError(f"torus spec missing field {key!r}")
-    d = int(data["dimension"])
-    sides = [int(x) for x in data["sides"]]
+    data = _fields(data, {"dimension", "sides", "weights"}, "torus spec")
+    sides = [_integer(x, "a side") for x in data["sides"]]
     weights = [[_parse_weight(w) for w in row] for row in data["weights"]]
-    return TorusBundleSpec(d, sides, weights)
+    return TorusBundleSpec(_integer(data["dimension"], "dimension"), sides, weights)
 
 
 def parse_graph_spec(data: dict) -> LineBundleGraph:
-    allowed = {"vertices", "edges"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise PreconditionError(f"unknown graph-spec fields: {sorted(unknown)}")
-    for key in allowed:
-        if key not in data:
-            raise PreconditionError(f"graph spec missing field {key!r}")
+    data = _fields(data, {"vertices", "edges"}, "graph spec")
     edges = []
     for e in data["edges"]:
-        extra = set(e) - {"tail", "head", "weight"}
-        if extra:
-            raise PreconditionError(f"unknown edge fields: {sorted(extra)}")
-        edges.append((int(e["tail"]), int(e["head"]), _parse_weight(e["weight"])))
-    return LineBundleGraph(int(data["vertices"]), edges)
+        e = _fields(e, {"tail", "head", "weight"}, "edge")
+        edges.append((_integer(e["tail"], "tail"), _integer(e["head"], "head"), _parse_weight(e["weight"])))
+    return LineBundleGraph(_integer(data["vertices"], "vertices"), edges)
 
 
 def load_spec_file(path) -> TorusBundleSpec | LineBundleGraph:
-    """Load either spec flavor from a JSON document, keyed by its fields."""
-    data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict):
-        raise PreconditionError("spec file must hold a JSON object")
-    if "dimension" in data:
-        return parse_torus_spec(data)
-    if "vertices" in data:
+    """Load a graph spec (a JSON object with 'vertices') or else a torus spec; a file that
+    cannot be read, is not JSON or breaks either format is refused with ``PreconditionError``."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+        raise PreconditionError(f"cannot read spec file {path}: {exc}") from None
+    if isinstance(data, dict) and "vertices" in data:
         return parse_graph_spec(data)
-    raise PreconditionError("spec file has neither 'dimension' nor 'vertices'")
+    return parse_torus_spec(data)

@@ -74,8 +74,6 @@ def _torus_from_args(args) -> TorusBundleSpec:
         return spec
     if args.d is None or args.a is None or args.lam is None:
         raise PreconditionError("need either --weights-file or all of --d, --a, --lambda")
-    if len(args.a) != args.d or len(args.lam) != args.d:
-        raise PreconditionError("--a and --lambda must list one entry per dimension")
     return TorusBundleSpec.single_twist(args.d, args.a, args.lam)
 
 
@@ -164,20 +162,6 @@ def _cmd_crsf_check(args) -> dict:
     }
 
 
-def _family_from_args(args) -> TorusFamily:
-    if args.lam is None:
-        raise PreconditionError("need --lambda for the family holonomies")
-    if args.alpha is not None:
-        if len(args.alpha) != len(args.lam):
-            raise PreconditionError("--alpha and --lambda must align")
-        return TorusFamily.from_multipliers(args.alpha, args.lam)
-    if args.d is None:
-        raise PreconditionError("need --d (or --alpha) for the family dimension")
-    if len(args.lam) != args.d:
-        raise PreconditionError("--lambda must list one entry per dimension")
-    return TorusFamily.from_multipliers((1.0,) * args.d, args.lam)
-
-
 def _estimate(value, error_estimate: float, method: str) -> dict:
     return {"value": _format_value(value), "error_estimate": error_estimate, "method": method}
 
@@ -204,7 +188,7 @@ def _kronecker(args) -> dict:
 
 def _theta_gap(args) -> dict:
     t = args.t if args.t is not None else 1.0
-    family = _family_from_args(args)
+    family = TorusFamily(_continuum_from_args(args))
     return {"columns": ["n", "gap"], "rows": [[n, rescaled_theta_gap(family, n, t)] for n in args.ns], "t": t}
 
 
@@ -223,8 +207,8 @@ _ZETA_KINDS = {
     "cd": (("d",), lambda a, q: _estimate(*lattice_constant_eval(a.d, q), "integral_split")),
 }
 _ASYMPTOTICS_KINDS = {
-    "thm11": (("ns",), lambda a: _series(logdet_limit_residuals(_family_from_args(a), a.ns))),
-    "thm13": (("ns", "s"), lambda a: _series(zeta_limit_residuals(_family_from_args(a), a.s.real, a.ns))),
+    "thm11": (("ns",), lambda a: _series(logdet_limit_residuals(TorusFamily(_continuum_from_args(a)), a.ns))),
+    "thm13": (("ns", "s"), lambda a: _series(zeta_limit_residuals(TorusFamily(_continuum_from_args(a)), a.s.real, a.ns))),
     "theta-gap": (("ns",), _theta_gap),
     "product-formula": (("m", "n", "z"), _product_formula),
 }

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bundle_graph import MAX_EIGENVALUES, TorusBundleSpec, line_spectrum
+from .bundle_graph import TorusBundleSpec, _refuse_above_cap, line_spectrum
 from .errors import PreconditionError, SeriesTruncationError
 from .special_functions import bessel_i_complex, bessel_i_scaled, bessel_i_scaled_many
 
@@ -39,10 +39,9 @@ _PROGRESSION_TERM_CAP = 400
 
 @dataclass(frozen=True)
 class ContinuousTorusSpec:
-    """Limit data (alpha_i, lambda_i) of a torus family.
+    """Limit data (alpha_i, lambda_i) of a torus family; lambda_i = 1 is stored as 0 (the same twist).
 
-    ``has_nontrivial_holonomy`` records whether some lambda_i avoids
-    {0, 1}; spectral-zeta operations refuse when it is False.
+    ``is_trivial`` (every lambda_i 0) marks a zero mode, which the spectral-zeta operations refuse.
     """
 
     alpha: tuple[float, ...]
@@ -58,19 +57,22 @@ class ContinuousTorusSpec:
         if any(not (0.0 <= x <= 1.0) for x in lam):
             raise PreconditionError("lambda entries must lie in [0, 1]")
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "lam", tuple(0.0 if x == 1.0 else x for x in lam))
 
     @property
     def d(self) -> int:
         return len(self.alpha)
 
     @property
-    def has_nontrivial_holonomy(self) -> bool:
-        return any(0.0 < x < 1.0 for x in self.lam)
+    def is_trivial(self) -> bool:
+        """Every holonomy is 0, so the spectrum holds the eigenvalue 0."""
+        return all(x == 0.0 for x in self.lam)
 
-    def canonical_lam(self) -> tuple[float, ...]:
-        """Holonomies with the boundary value 1 folded to 0 (index shift)."""
-        return tuple(0.0 if x == 1.0 else x for x in self.lam)
+
+def _require_time(t: float, zero: bool = False) -> None:
+    """Refuse a time that is not finite and > 0; with ``zero`` (the discrete torus, e^{-0 L} = 1), >= 0."""
+    if not (0.0 <= t if zero else 0.0 < t) or t == math.inf:
+        raise PreconditionError(f"time must be finite and {'>=' if zero else '>'} 0, got {t}")
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +113,7 @@ def _line_column(a: int, lam: float, t: float) -> np.ndarray:
 
 def _prefixed_columns(spec: TorusBundleSpec, t: float) -> list[np.ndarray]:
     """Per direction, K_1(t, x) times the product of the first x edge weights."""
-    if not (t >= 0.0) or math.isinf(t):
-        raise PreconditionError(f"time must be finite and >= 0, got {t}")
+    _require_time(t, zero=True)
     return [
         np.cumprod(np.append(1.0 + 0.0j, row[:-1])) * _line_column(a, lam, t)
         for a, lam, row in zip(spec.a, spec.holonomies, spec.weights)
@@ -140,10 +141,7 @@ def heat_kernel_column(spec: TorusBundleSpec, t: float) -> np.ndarray:
 
     The Kronecker product of the cycle factors; refuses above ``MAX_EIGENVALUES`` entries first.
     """
-    if spec.vertex_count > MAX_EIGENVALUES:
-        raise PreconditionError(
-            f"{spec.vertex_count} heat-kernel entries requested, above the cap {MAX_EIGENVALUES}"
-        )
+    _refuse_above_cap(spec.vertex_count, "heat-kernel entries")
     return reduce(np.kron, _prefixed_columns(spec, t))
 
 
@@ -203,9 +201,8 @@ def bessel_progression_sides(n: int, z: complex, t: complex) -> tuple[complex, c
 
 
 def theta_discrete(spec: TorusBundleSpec, t: float) -> float:
-    """Trace of e^{-tL} on the discrete torus: product of eigenvalue sums."""
-    if not (t >= 0.0):
-        raise PreconditionError(f"time must be >= 0, got {t}")
+    """Trace of e^{-tL} on the discrete torus: product of eigenvalue sums; t finite and >= 0."""
+    _require_time(t, zero=True)
     value = 1.0
     for ai, li in zip(spec.a, spec.holonomies):
         value *= float(np.exp(-t * line_spectrum(ai, li)).sum())
@@ -260,11 +257,6 @@ def _dual_bracket_1d(alpha: float, lam: float, t: float) -> float:
     return 2.0 * total
 
 
-def _require_time(t: float) -> None:
-    if not 0.0 < t < math.inf:
-        raise PreconditionError(f"time must be finite and > 0, got {t}")
-
-
 def theta_continuous(spec: ContinuousTorusSpec, t: float, form: str | None = None) -> float:
     """Continuum theta: the spectral Gaussian sum or its Poisson-dual resummation, per direction
 
@@ -300,10 +292,9 @@ def theta_discrete_minus_leading(spec: TorusBundleSpec, t: float) -> float:
     q <- q (1 + u) + u.  The form threshold is t = m^2 / 8 with m the first
     order whose phase is nonzero: a_i, or 2 a_i at the quarter turns.  Below
     it u_i comes from the Bessel orders k a_i alone, so its O(t^m) size keeps
-    full relative accuracy.
+    full relative accuracy.  t must be finite and >= 0.
     """
-    if not (t >= 0.0):
-        raise PreconditionError(f"time must be >= 0, got {t}")
+    _require_time(t, zero=True)
     base = bessel_i_scaled(0, 2.0 * t)
     lead = 1.0
     q = 0.0

@@ -184,6 +184,16 @@ def _bessel_miller_scaled(nmax: int, x: float) -> np.ndarray:
     return values / norm
 
 
+def _bessel_order(order: int, x: float) -> int:
+    """The order as an int, once it is an integer >= 0 and x is finite and >= 0."""
+    n = int(order)
+    if n != order or n < 0:
+        raise PreconditionError(f"order must be a nonnegative integer, got {order}")
+    if not 0.0 <= x < math.inf:
+        raise PreconditionError(f"argument must be finite and >= 0, got {x}")
+    return n
+
+
 def bessel_i_scaled(order: int, x: float) -> float:
     """e^{-x} I_order(x) for integer order >= 0 and real x >= 0.
 
@@ -191,15 +201,9 @@ def bessel_i_scaled(order: int, x: float) -> float:
     range (order <= 1e6, any finite x).  Callers map negative orders via
     I_{-n} = I_n.
     """
-    n = int(order)
-    if n != order or n < 0:
-        raise PreconditionError(f"order must be a nonnegative integer, got {order}")
+    n = _bessel_order(order, x)
     if n > 10**6:
         raise PreconditionError(f"order {n} above supported cap 1e6")
-    if math.isnan(x) or math.isinf(x):
-        raise PreconditionError(f"argument must be finite, got {x}")
-    if x < 0:
-        raise PreconditionError(f"argument must be nonnegative, got {x}")
     if x == 0.0:
         return 1.0 if n == 0 else 0.0
     if x <= _SERIES_CUTOFF:
@@ -213,17 +217,14 @@ def bessel_i_scaled(order: int, x: float) -> float:
 
 def bessel_i_scaled_many(max_order: int, x: float) -> np.ndarray:
     """Array of e^{-x} I_n(x) for n = 0..max_order at a shared argument (0 past the first underflow)."""
-    if max_order < 0:
-        raise PreconditionError("max_order must be >= 0")
-    if math.isnan(x) or x < 0:
-        raise PreconditionError(f"argument must be nonnegative and finite, got {x}")
-    out = np.zeros(max_order + 1)
+    top = _bessel_order(max_order, x)
+    out = np.zeros(top + 1)
     if x <= _SERIES_CUTOFF:
         first, each = 0, _bessel_series_scaled
     else:
-        first, each = min(max_order + 1, _DEBYE_MIN_ORDER), _bessel_debye_scaled
+        first, each = min(top + 1, _DEBYE_MIN_ORDER), _bessel_debye_scaled
         out[:first] = _bessel_miller_scaled(first - 1, x)
-    for n in range(first, max_order + 1):
+    for n in range(first, top + 1):
         out[n] = each(n, x)
         if out[n] == 0.0:
             break

@@ -125,17 +125,9 @@ def lattice_constant_eval(d: int, quad: QuadratureSpec | None = None) -> tuple[f
 # ---------------------------------------------------------------------------
 
 
-def _require_nontrivial(spec: ContinuousTorusSpec):
-    if not spec.has_nontrivial_holonomy:
-        raise PreconditionError(
-            "all holonomies are trivial; the continuum spectral zeta has a "
-            "zero mode and is refused"
-        )
-
-
 def _min_frequency(spec: ContinuousTorusSpec) -> float:
     """min over the dual lattice of sum ((k_i + lam_i)/alpha_i)^2 (> 0)."""
-    return sum((min(l, 1.0 - l) / a) ** 2 for a, l in zip(spec.alpha, spec.canonical_lam()))
+    return sum((min(l, 1.0 - l) / a) ** 2 for a, l in zip(spec.alpha, spec.lam))
 
 
 def _inner_line_sum(c: float, s: float, lam: float) -> float:
@@ -194,7 +186,8 @@ def epstein_hurwitz_zeta(
     ``method="eigensum"`` (d <= 2, s >= d/2 + 0.25) is the oriented row sum of
     ``_eigensum``, of bounded cost at every aspect ratio, with the nominal estimate
     1e-13 |value| (d = 1) or 1e-12 |value| (d = 2); ``method="integral_split"`` is
-    the Mellin-split analytic continuation (``_eh_bracket``).  Holonomy 1 is folded to 0.
+    the Mellin-split analytic continuation (``_eh_bracket``).  ``ContinuousTorusSpec``
+    stores holonomy 1 as 0.
 
     s must lie in [-2, 10]: there both routes kept their stated accuracy against
     mpmath at alpha in [0.01, 1e4] (d = 1; 1e-10 relative for the split) and, in
@@ -204,7 +197,7 @@ def epstein_hurwitz_zeta(
     """
     if not -2.0 <= s <= 10.0:
         raise PreconditionError(f"s must be finite and in [-2, 10], got {s}")
-    _require_nontrivial(spec)
+    _refuse_trivial(spec)
     d = spec.d
     if s == 0.5 * d:
         raise PreconditionError(f"pole at s = d/2 = {0.5 * d}")
@@ -213,7 +206,7 @@ def epstein_hurwitz_zeta(
     if method == "eigensum":
         if d > 2 or s < 0.5 * d + 0.25:
             raise PreconditionError(f"the eigensum route needs d <= 2 and s >= d/2 + 0.25, got d = {d}, s = {s}")
-        return ZetaEvaluation(*_eigensum(s, spec.alpha, spec.canonical_lam()), "eigensum")
+        return ZetaEvaluation(*_eigensum(s, spec.alpha, spec.lam), "eigensum")
     if method != "integral_split":
         raise PreconditionError(f"unknown method {method!r} for epstein_hurwitz_zeta")
 
@@ -258,7 +251,7 @@ def epstein_hurwitz_deriv0(spec: ContinuousTorusSpec, quad: QuadratureSpec | Non
     its closed-form term is -(2/d) prod(alpha) (4 pi t0)^{-d/2}.  In dimension two
     ``kronecker_deriv0`` is the independent closed form.
     """
-    _require_nontrivial(spec)
+    _refuse_trivial(spec)
     quad = quad or QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11, max_subdivisions=8000)
     value, err = _eh_bracket(0.0, spec, quad)
     return ZetaEvaluation(value, err, "poisson_dual")
@@ -273,7 +266,7 @@ def kronecker_deriv0(alpha1: float, alpha2: float, lam1: float, lam2: float) -> 
     The form is symmetric in the two directions.  Taken with alpha1 >= alpha2,
     the factors with |n + lam2| >= 7 differ from 1 by less than e^{-14 pi} and are dropped.
     """
-    _require_nontrivial(ContinuousTorusSpec((alpha1, alpha2), (lam1, lam2)))  # else the n = 0 factor vanishes
+    _refuse_trivial(ContinuousTorusSpec((alpha1, alpha2), (lam1, lam2)))  # else the n = 0 factor vanishes
     if alpha1 < alpha2:
         alpha1, alpha2, lam1, lam2 = alpha2, alpha1, lam2, lam1
     rho = alpha1 / alpha2

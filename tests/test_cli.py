@@ -362,6 +362,57 @@ def test_csv_floats_17_digits(capsys):
     assert len(cell.replace("-", "").replace(".", "").lstrip("0")) >= 16
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "detlog --d 1 --a 4 --lambda 0",
+        "detlog --d 2 --a 4 --lambda 0.3,0.5",
+        "zeta eh --alpha 1 --lambda 1 --s 2",
+        "zeta eh-deriv0 --alpha 1,2 --lambda 0,1",
+        "asymptotics thm11 --alpha 1,1 --lambda 0.3 --ns 8,16",
+        "asymptotics thm13 --d 2 --lambda 0.3 --s 0.5 --ns 8",
+        "theta --alpha 1 --lambda 0.3 --t-grid 0",
+        "asymptotics theta-gap --d 1 --lambda 0.5 --ns 4 --t nan",
+        "asymptotics product-formula --m 2000,2000 --n 2 --z 1,1",
+        "zeta gn --d 2 --a 2001,2000 --lambda 0.5,0.5 --s 2",
+        "theta --d 1 --a 4 --lambda 0 --t-grid inf",
+    ],
+)
+def test_precondition_refusal_table(capsys, argv):
+    # each precondition has one owner; every CLI route to it still refuses with exit 2
+    code, rep = run_json(capsys, *argv.split())
+    assert code == 2, argv
+    assert rep["kind"] == "precondition"
+
+
+_TORUS_FILE = {"dimension": 1, "sides": [3], "weights": [[1.0, 1.0, {"angle": 0.3}]]}
+_GRAPH_FILE = {"vertices": 2, "edges": [{"tail": 0, "head": 1, "weight": 1.0}, {"tail": 1, "head": 0, "weight": {"angle": 0.3}}]}
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("detlog", None),
+        ("detlog", '{"dimension": 1,'),
+        ("crsf-check", json.dumps({**_GRAPH_FILE, "edges": [{"tail": 0, "head": 1}]})),
+        ("detlog", json.dumps({**_TORUS_FILE, "sides": ["a"]})),
+        ("detlog", json.dumps({**_TORUS_FILE, "weights": [[1.0, 1.0, {"angle": "x"}]]})),
+        ("detlog", json.dumps({**_TORUS_FILE, "dimension": 1.7})),
+        ("detlog", json.dumps({**_TORUS_FILE, "sides": [3.7]})),
+        ("crsf-check", json.dumps({**_GRAPH_FILE, "vertices": 2.7})),
+    ],
+    ids=["missing", "not-json", "edge-without-weight", "side-not-a-number", "angle-not-a-number",
+         "dimension-1.7", "side-3.7", "vertices-2.7"],
+)
+def test_malformed_spec_file_refused(capsys, tmp_path, command, text):
+    path = tmp_path / "spec.json"
+    if text is not None:
+        path.write_text(text)
+    code, rep = run_json(capsys, command, "--weights-file", str(path))
+    assert code == 2
+    assert rep["kind"] == "precondition"
+
+
 def test_missing_arguments_refused(capsys):
     code, rep = run_json(capsys, "detlog")
     assert code == 2

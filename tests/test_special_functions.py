@@ -117,6 +117,13 @@ def test_bessel_rejects_bad_input():
         bessel_i_scaled(10**6 + 1, 1.0)
 
 
+@pytest.mark.parametrize("max_order, x", [(5, math.inf), (5, math.nan), (5, -1.0), (5.5, 1.0), (-1, 1.0)])
+def test_bessel_many_rejects_bad_input(max_order, x):
+    # the guard of bessel_i_scaled: an integer order >= 0 and a finite argument >= 0
+    with pytest.raises(PreconditionError):
+        bessel_i_scaled_many(max_order, x)
+
+
 def test_bessel_complex_matches_real_axis():
     for n in (0, 2, 7):
         for x in (0.5, 1.7, 3.0):
