@@ -65,6 +65,8 @@ class LineBundleGraph:
     def __init__(self, vertex_count: int, edges: Sequence[tuple[int, int, object]]):
         if vertex_count < 1:
             raise PreconditionError("graph needs at least one vertex")
+        if len(edges) < vertex_count - 1:  # refused before _connected allocates per vertex
+            raise PreconditionError("graph must be connected")
         clean = []
         for tail, head, weight in edges:
             if not (0 <= tail < vertex_count and 0 <= head < vertex_count):
@@ -316,6 +318,13 @@ def _fields(obj, names: set[str], what: str) -> dict:
     return obj
 
 
+def _list(value, what: str) -> list:
+    """value, once it is a JSON list."""
+    if not isinstance(value, list):
+        raise PreconditionError(f"{what} must be a JSON list, got {value!r}")
+    return value
+
+
 def _integer(value, what: str) -> int:
     """A JSON number with an integral value, as an int (3.0 is 3; 3.7 is refused, not truncated)."""
     if not (isinstance(value, (int, float)) and float(value).is_integer()):
@@ -336,15 +345,15 @@ def _parse_weight(obj) -> complex:
 
 def parse_torus_spec(data: dict) -> TorusBundleSpec:
     data = _fields(data, {"dimension", "sides", "weights"}, "torus spec")
-    sides = [_integer(x, "a side") for x in data["sides"]]
-    weights = [[_parse_weight(w) for w in row] for row in data["weights"]]
+    sides = [_integer(x, "a side") for x in _list(data["sides"], "sides")]
+    weights = [[_parse_weight(w) for w in _list(row, "a weights row")] for row in _list(data["weights"], "weights")]
     return TorusBundleSpec(_integer(data["dimension"], "dimension"), sides, weights)
 
 
 def parse_graph_spec(data: dict) -> LineBundleGraph:
     data = _fields(data, {"vertices", "edges"}, "graph spec")
     edges = []
-    for e in data["edges"]:
+    for e in _list(data["edges"], "edges"):
         e = _fields(e, {"tail", "head", "weight"}, "edge")
         edges.append((_integer(e["tail"], "tail"), _integer(e["head"], "head"), _parse_weight(e["weight"])))
     return LineBundleGraph(_integer(data["vertices"], "vertices"), edges)

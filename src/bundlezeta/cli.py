@@ -2,7 +2,7 @@
 
 One computation per invocation; reports are emitted as JSON (default) or
 CSV with 17-significant-digit floats.  Exit codes: 0 success, 2 refused
-precondition, 3 numeric non-convergence.
+precondition or a flag the route does not read, 3 numeric non-convergence.
 
 Commands
 --------
@@ -11,6 +11,10 @@ crsf-check        CRSF count / weighted sum vs dense determinant
 zeta KIND         KIND in {eh, eh-deriv0, kronecker, zd, gn, cd}
 asymptotics KIND  KIND in {thm11, thm13, theta-gap, product-formula}
 theta             theta-function table over a time grid
+
+``_COMMANDS`` gives every route (a command, or a kind of zeta or asymptotics)
+the flags it reads, the flags it needs and its report; its parser holds only
+those (``_FLAGS``) and ``--format``/``--out``, so any other flag exits 2.
 """
 
 from __future__ import annotations
@@ -52,22 +56,43 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
+def _complex(text: str) -> complex:
+    return complex(text.strip().replace("i", "j"))
+
+
 def _complexes(text: str) -> tuple[complex, ...]:
-    out = []
-    for token in text.split(","):
-        token = token.strip().replace("i", "j")
-        out.append(complex(token))
-    return tuple(out)
+    return tuple(_complex(x) for x in text.split(","))
 
 
-def _quad_spec(args) -> QuadratureSpec | None:
+# dest -> (flag, type, help); --s is real except for zeta gn
+_FLAGS = {
+    "d": ("--d", int, "dimension"),
+    "a": ("--a", _ints, "side lengths, comma separated"),
+    "lam": ("--lambda", _floats, "holonomies in [0,1], comma separated"),
+    "alpha": ("--alpha", _floats, "limit shape alpha_i"),
+    "weights_file": ("--weights-file", str, "JSON torus/graph spec"),
+    "s": ("--s", float, "real exponent s"),
+    "complex_s": ("--s", _complex, "complex exponent s, e.g. 1+0.5i"),
+    "ns": ("--ns", _ints, "family sizes, comma separated"),
+    "m": ("--m", _ints, "product-formula multipliers"),
+    "n": ("--n", int, "product-formula base size"),
+    "z": ("--z", _complexes, "unit twists, e.g. i,-1"),
+    "t": ("--t", float, "time parameter"),
+    "t_grid": ("--t-grid", _floats, "theta table grid"),
+    "tol": ("--tol", float, "quadrature tolerance"),
+}
+
+
+def _quad(args) -> QuadratureSpec | None:
     if args.tol is None:
         return None
     return QuadratureSpec(abs_tol=args.tol, rel_tol=args.tol, max_subdivisions=8000)
 
 
-def _torus_from_args(args) -> TorusBundleSpec:
-    if args.weights_file:
+def _torus(args) -> TorusBundleSpec:
+    if args.weights_file is not None:
+        if (args.d, args.a, args.lam) != (None, None, None):
+            raise PreconditionError("--weights-file excludes --d, --a and --lambda")
         spec = load_spec_file(args.weights_file)
         if not isinstance(spec, TorusBundleSpec):
             raise PreconditionError("spec file does not describe a torus bundle")
@@ -77,15 +102,16 @@ def _torus_from_args(args) -> TorusBundleSpec:
     return TorusBundleSpec.single_twist(args.d, args.a, args.lam)
 
 
-def _continuum_from_args(args) -> ContinuousTorusSpec:
+def _continuum(args) -> ContinuousTorusSpec:
     if args.lam is None:
         raise PreconditionError("need --lambda")
-    alpha = args.alpha
-    if alpha is None:
+    if args.alpha is None:
         if args.d is None:
             raise PreconditionError("need --alpha, or --d for unit aspect ratios")
-        alpha = (1.0,) * args.d
-    return ContinuousTorusSpec(alpha, args.lam)
+        return ContinuousTorusSpec((1.0,) * args.d, args.lam)
+    if args.d not in (None, len(args.alpha)):
+        raise PreconditionError(f"--alpha has {len(args.alpha)} entries but --d is {args.d}")
+    return ContinuousTorusSpec(args.alpha, args.lam)
 
 
 def _format_value(value):
@@ -136,7 +162,7 @@ def _to_csv(report: dict) -> str:
 
 
 def _cmd_detlog(args) -> dict:
-    spec = _torus_from_args(args)
+    spec = _torus(args)
     result = {
         "eigen_logdet": log_det(spec),
         "holonomies": list(spec.holonomies),
@@ -147,8 +173,6 @@ def _cmd_detlog(args) -> dict:
 
 
 def _cmd_crsf_check(args) -> dict:
-    if not args.weights_file:
-        raise PreconditionError("crsf-check needs --weights-file")
     loaded = load_spec_file(args.weights_file)
     graph = build_torus(loaded) if isinstance(loaded, TorusBundleSpec) else loaded
     count = sum(1 for _ in enumerate_crsfs(graph))
@@ -188,7 +212,7 @@ def _kronecker(args) -> dict:
 
 def _theta_gap(args) -> dict:
     t = args.t if args.t is not None else 1.0
-    family = TorusFamily(_continuum_from_args(args))
+    family = TorusFamily(_continuum(args))
     return {"columns": ["n", "gap"], "rows": [[n, rescaled_theta_gap(family, n, t)] for n in args.ns], "t": t}
 
 
@@ -197,46 +221,38 @@ def _product_formula(args) -> dict:
     return {"log_lhs": lhs, "log_rhs": rhs, "abs_err": abs(lhs - rhs)}
 
 
-# kind -> (flags it needs, report); zeta reports also take the quadrature spec
-_ZETA_KINDS = {
-    "eh": (("s",), lambda a, q: _evaluation(epstein_hurwitz_zeta(a.s.real, _continuum_from_args(a), quad=q))),
-    "eh-deriv0": ((), lambda a, q: _evaluation(epstein_hurwitz_deriv0(_continuum_from_args(a), quad=q))),
-    "kronecker": ((), lambda a, q: _kronecker(a)),
-    "zd": (("d", "s"), lambda a, q: _evaluation(lattice_zeta(a.s.real, a.d, q))),
-    "gn": (("s",), lambda a, q: _nominal(torus_zeta(a.s, _torus_from_args(a)), "eigensum")),
-    "cd": (("d",), lambda a, q: _estimate(*lattice_constant_eval(a.d, q), "integral_split")),
-}
-_ASYMPTOTICS_KINDS = {
-    "thm11": (("ns",), lambda a: _series(logdet_limit_residuals(TorusFamily(_continuum_from_args(a)), a.ns))),
-    "thm13": (("ns", "s"), lambda a: _series(zeta_limit_residuals(TorusFamily(_continuum_from_args(a)), a.s.real, a.ns))),
-    "theta-gap": (("ns",), _theta_gap),
-    "product-formula": (("m", "n", "z"), _product_formula),
-}
-
-
-def _run_kind(kinds: dict, args, *context) -> dict:
-    needs, report = kinds[args.kind]
-    if any(getattr(args, dest) is None for dest in needs):
-        flags = [f"--{dest}" for dest in needs]
-        listed = flags[0] if len(flags) == 1 else ", ".join(flags[:-1]) + " and " + flags[-1]
-        raise PreconditionError(f"{args.kind} needs {listed}")
-    return report(args, *context)
-
-
 def _cmd_theta(args) -> dict:
     grid = args.t_grid or (0.1, 0.5, 1.0, 2.0, 5.0)
-    rows = []
-    if args.alpha is not None:
-        spec = _continuum_from_args(args)
-        for t in grid:
-            rows.append([t, theta_continuous(spec, t)])
-        label = "theta_continuous"
+    if args.alpha is None:
+        spec, theta, label = _torus(args), theta_discrete, "theta_discrete"
+    elif args.a is not None or args.weights_file is not None:
+        raise PreconditionError("--alpha excludes --a and --weights-file")
     else:
-        spec = _torus_from_args(args)
-        for t in grid:
-            rows.append([t, theta_discrete(spec, t)])
-        label = "theta_discrete"
-    return {"columns": ["t", label], "rows": rows}
+        spec, theta, label = _continuum(args), theta_continuous, "theta_continuous"
+    return {"columns": ["t", label], "rows": [[t, theta(spec, t)] for t in grid]}
+
+
+# command -> (help, route), or (help, {kind: route}) for zeta and asymptotics; a route is
+# (the _FLAGS it reads, those of them it needs, its report), each a space-separated list
+_COMMANDS = {
+    "detlog": ("log determinant of a torus bundle", ("d a lam weights_file", "", _cmd_detlog)),
+    "crsf-check": ("CRSF sum vs dense determinant", ("weights_file", "weights_file", _cmd_crsf_check)),
+    "zeta": ("zeta-function evaluations", {
+        "eh": ("d alpha lam s tol", "s", lambda a: _evaluation(epstein_hurwitz_zeta(a.s, _continuum(a), quad=_quad(a)))),
+        "eh-deriv0": ("d alpha lam tol", "", lambda a: _evaluation(epstein_hurwitz_deriv0(_continuum(a), quad=_quad(a)))),
+        "kronecker": ("alpha lam", "", _kronecker),
+        "zd": ("d s tol", "d s", lambda a: _evaluation(lattice_zeta(a.s, a.d, _quad(a)))),
+        "gn": ("d a lam weights_file complex_s", "complex_s", lambda a: _nominal(torus_zeta(a.complex_s, _torus(a)), "eigensum")),
+        "cd": ("d tol", "d", lambda a: _estimate(*lattice_constant_eval(a.d, _quad(a)), "integral_split")),
+    }),
+    "asymptotics": ("limit-theorem residual tables", {
+        "thm11": ("d alpha lam ns", "ns", lambda a: _series(logdet_limit_residuals(TorusFamily(_continuum(a)), a.ns))),
+        "thm13": ("d alpha lam ns s", "ns s", lambda a: _series(zeta_limit_residuals(TorusFamily(_continuum(a)), a.s, a.ns))),
+        "theta-gap": ("d alpha lam ns t", "ns", _theta_gap),
+        "product-formula": ("m n z", "m n z", _product_formula),
+    }),
+    "theta": ("theta-function table over a t grid", ("d a lam alpha weights_file t_grid", "", _cmd_theta)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -251,64 +267,33 @@ def build_parser() -> argparse.ArgumentParser:
         "CRSF sums, theta and zeta functions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--d", type=int, default=None, help="dimension")
-        p.add_argument("--a", type=_ints, default=None, help="side lengths, comma separated")
-        p.add_argument(
-            "--lambda",
-            dest="lam",
-            type=_floats,
-            default=None,
-            help="holonomies in [0,1], comma separated",
-        )
-        p.add_argument("--alpha", type=_floats, default=None, help="limit shape alpha_i")
-        p.add_argument("--weights-file", default=None, help="JSON torus/graph spec")
-        p.add_argument("--s", type=lambda x: complex(x.replace("i", "j")), default=None)
-        p.add_argument("--ns", type=_ints, default=None, help="family sizes, comma separated")
-        p.add_argument("--m", type=_ints, default=None, help="product-formula multipliers")
-        p.add_argument("--n", type=int, default=None, help="product-formula base size")
-        p.add_argument("--z", type=_complexes, default=None, help="unit twists, e.g. i,-1")
-        p.add_argument("--t", type=float, default=None, help="time parameter")
-        p.add_argument("--t-grid", type=_floats, default=None, help="theta table grid")
-        p.add_argument("--tol", type=float, default=None, help="quadrature tolerance")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--out", default=None, help="write the report to this path")
-
-    p_detlog = sub.add_parser("detlog", help="log determinant of a torus bundle")
-    common(p_detlog)
-
-    p_crsf = sub.add_parser("crsf-check", help="CRSF sum vs dense determinant")
-    common(p_crsf)
-
-    p_zeta = sub.add_parser("zeta", help="zeta-function evaluations")
-    p_zeta.add_argument("kind", choices=tuple(_ZETA_KINDS))
-    common(p_zeta)
-
-    p_asym = sub.add_parser("asymptotics", help="limit-theorem residual tables")
-    p_asym.add_argument("kind", choices=tuple(_ASYMPTOTICS_KINDS))
-    common(p_asym)
-
-    p_theta = sub.add_parser("theta", help="theta-function table over a t grid")
-    common(p_theta)
-
+    for command, (text, routes) in _COMMANDS.items():
+        # allow_abbrev=False: --a must not pass for --alpha, nor --n for --ns
+        p = sub.add_parser(command, help=text, allow_abbrev=False)
+        if isinstance(routes, dict):
+            kinds = p.add_subparsers(dest="kind", required=True)
+            leaves = [(kinds.add_parser(kind, allow_abbrev=False), kind, route) for kind, route in routes.items()]
+        else:
+            leaves = [(p, command, routes)]
+        for leaf, name, (reads, needs, run) in leaves:
+            for dest in reads.split():
+                flag, parse, about = _FLAGS[dest]
+                leaf.add_argument(flag, dest=dest, type=parse, help=about)
+            leaf.add_argument("--format", choices=("json", "csv"), default="json")
+            leaf.add_argument("--out", help="write the report to this path")
+            leaf.set_defaults(route=(name, needs.split(), run))
     return parser
 
 
-_DISPATCH = {
-    "detlog": _cmd_detlog,
-    "crsf-check": _cmd_crsf_check,
-    "zeta": lambda args: _run_kind(_ZETA_KINDS, args, _quad_spec(args)),
-    "asymptotics": lambda args: _run_kind(_ASYMPTOTICS_KINDS, args),
-    "theta": _cmd_theta,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    name, needs, run = args.route
     try:
-        result = _DISPATCH[args.command](args)
+        if any(getattr(args, dest) is None for dest in needs):
+            flags = [_FLAGS[dest][0] for dest in needs]
+            listed = flags[0] if len(flags) == 1 else ", ".join(flags[:-1]) + " and " + flags[-1]
+            raise PreconditionError(f"{name} needs {listed}")
+        result = run(args)
     except PreconditionError as exc:
         _emit({"command": args.command, "error": str(exc), "kind": "precondition"}, args)
         return 2

@@ -177,6 +177,20 @@ def test_laplacian_rejects_nonunit_weight():
         LineBundleGraph(2, [(0, 1, 0.5), (1, 0, 1.0)])
 
 
+def test_disconnected_graph_refused_before_allocating():
+    # fewer than V - 1 edges cannot connect V vertices: refused before any per-vertex list
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError, match="connected"):
+            LineBundleGraph(2_000_000, [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
+    with pytest.raises(PreconditionError, match="connected"):
+        LineBundleGraph(4, [(0, 1, 1.0), (2, 3, 1.0), (3, 3, 1.0)])
+
+
 def test_laplacian_is_exactly_hermitian():
     # -conj(w) on the reversed orientation, summed edge by edge: no rounding asymmetry,
     # also with a self-loop and parallel edges of both orientations

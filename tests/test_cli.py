@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from bundlezeta import bundle_graph
-from bundlezeta.cli import main
+from bundlezeta import bundle_graph, cli
+from bundlezeta.cli import build_parser, main
 from bundlezeta.heat_theta import ContinuousTorusSpec
 from bundlezeta.zeta import epstein_hurwitz_deriv0, epstein_hurwitz_zeta
 
@@ -376,10 +376,19 @@ def test_csv_floats_17_digits(capsys):
         "asymptotics product-formula --m 2000,2000 --n 2 --z 1,1",
         "zeta gn --d 2 --a 2001,2000 --lambda 0.5,0.5 --s 2",
         "theta --d 1 --a 4 --lambda 0 --t-grid inf",
+        # flags read only as alternatives to each other, given together
+        "detlog --weights-file sample_specs/torus22.json --d 2",
+        "zeta gn --weights-file sample_specs/torus22.json --a 2,2 --s 2",
+        "theta --weights-file sample_specs/torus22.json --lambda 0.3 --t-grid 1",
+        "asymptotics thm11 --d 3 --alpha 1,2 --lambda 0.3,0.7 --ns 8,16",
+        "zeta eh --d 1 --alpha 1,1 --lambda 0.3,0.7 --s 2",
+        "theta --alpha 1 --a 4 --lambda 0.3 --t-grid 1",
+        "theta --alpha 1 --weights-file sample_specs/cycle5.json --lambda 0.3 --t-grid 1",
     ],
 )
-def test_precondition_refusal_table(capsys, argv):
+def test_precondition_refusal_table(capsys, monkeypatch, argv):
     # each precondition has one owner; every CLI route to it still refuses with exit 2
+    monkeypatch.chdir(REPO)  # spec paths are relative to the repository root
     code, rep = run_json(capsys, *argv.split())
     assert code == 2, argv
     assert rep["kind"] == "precondition"
@@ -400,9 +409,14 @@ _GRAPH_FILE = {"vertices": 2, "edges": [{"tail": 0, "head": 1, "weight": 1.0}, {
         ("detlog", json.dumps({**_TORUS_FILE, "dimension": 1.7})),
         ("detlog", json.dumps({**_TORUS_FILE, "sides": [3.7]})),
         ("crsf-check", json.dumps({**_GRAPH_FILE, "vertices": 2.7})),
+        ("detlog", json.dumps({**_TORUS_FILE, "sides": 3})),
+        ("detlog", json.dumps({**_TORUS_FILE, "weights": [5]})),
+        ("crsf-check", json.dumps({**_GRAPH_FILE, "edges": 5})),
+        ("crsf-check", json.dumps({**_GRAPH_FILE, "edges": None})),
     ],
     ids=["missing", "not-json", "edge-without-weight", "side-not-a-number", "angle-not-a-number",
-         "dimension-1.7", "side-3.7", "vertices-2.7"],
+         "dimension-1.7", "side-3.7", "vertices-2.7", "sides-a-number", "weights-row-a-number",
+         "edges-a-number", "edges-null"],
 )
 def test_malformed_spec_file_refused(capsys, tmp_path, command, text):
     path = tmp_path / "spec.json"
@@ -417,3 +431,46 @@ def test_missing_arguments_refused(capsys):
     code, rep = run_json(capsys, "detlog")
     assert code == 2
     assert rep["kind"] == "precondition"
+
+
+# ---------------------------------------------------------------------------
+# the command table: each route parses exactly the data flags it reads
+# ---------------------------------------------------------------------------
+
+
+def _table_routes() -> list[tuple[list[str], list[str]]]:
+    """(argv prefix, dests it reads) for every command, and every kind of zeta and asymptotics."""
+    routes = []
+    for command, (_, entry) in cli._COMMANDS.items():
+        for kind, (reads, _, _) in entry.items() if isinstance(entry, dict) else [("", entry)]:
+            routes.append(([command, kind] if kind else [command], reads.split()))
+    return routes
+
+
+ROUTES = _table_routes()
+
+
+@pytest.mark.parametrize("prefix, reads", ROUTES, ids=[" ".join(prefix) for prefix, _ in ROUTES])
+def test_route_accepts_exactly_the_flags_it_reads(capsys, prefix, reads):
+    parser = build_parser()
+    for dest in reads:
+        assert getattr(parser.parse_args([*prefix, cli._FLAGS[dest][0], "1"]), dest) is not None
+    read_flags = {cli._FLAGS[dest][0] for dest in reads}
+    for flag in sorted({flag for flag, _, _ in cli._FLAGS.values()} - read_flags):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([*prefix, flag, "1"])
+        assert exc.value.code == 2, (prefix, flag)
+
+
+def test_s_is_complex_for_gn_only(capsys):
+    parser = build_parser()
+    real = [prefix for prefix, reads in ROUTES if "s" in reads]
+    assert real == [["zeta", "eh"], ["zeta", "zd"], ["asymptotics", "thm13"]]
+    assert [prefix for prefix, reads in ROUTES if "complex_s" in reads] == [["zeta", "gn"]]
+    for prefix in real:
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([*prefix, "--s", "2+5i"])
+        assert exc.value.code == 2, prefix
+    assert parser.parse_args(["zeta", "gn", "--s", "2+5i"]).complex_s == 2 + 5j
+    code, rep = run_json(capsys, "zeta", "gn", "--d", "1", "--a", "4", "--lambda", "0.3")
+    assert code == 2 and rep["error"] == "gn needs --s"
