@@ -289,6 +289,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     name, needs, run = args.route
     try:
+        if args.out and not Path(args.out).parent.is_dir():
+            out, args.out = args.out, None  # the refusal goes to stdout, since the file cannot be written
+            raise PreconditionError(f"--out {out}: its directory does not exist")
         if any(getattr(args, dest) is None for dest in needs):
             flags = [_FLAGS[dest][0] for dest in needs]
             listed = flags[0] if len(flags) == 1 else ", ".join(flags[:-1]) + " and " + flags[-1]

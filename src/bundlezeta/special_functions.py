@@ -303,6 +303,11 @@ def bessel_k(nu: float, x: np.ndarray) -> np.ndarray:
     """
     if not np.all(x >= 1.0):
         raise PreconditionError("bessel_k needs every argument >= 1")
+    return _bessel_k(nu, x)
+
+
+def _bessel_k(nu: float, x: np.ndarray) -> np.ndarray:
+    """``bessel_k`` unchecked, for the Chowla-Selberg rows at s <= 0: within 5e-16 of mpmath at nu = -1, -1.5, -2, x >= 1e-3."""
     h = min(0.2, 0.5 / math.sqrt(x.max(initial=1.0) + abs(nu)))
     u = h * np.arange(int(math.acosh(1.0 + (45.0 + 8.0 * abs(nu)) / x.min(initial=np.inf)) / h) + 2)
     u = np.concatenate((-u[:0:-1], u))  # the even integrand over the whole line, halved below
@@ -335,9 +340,9 @@ def hurwitz_zeta(s: float, a: float) -> float:
     worst relative error is 1.8e-13 at s = -0.25, 1.1e-12 at -1 and
     3.7e-11 at -2.  Below s = -2 it is refused before summing (it would be
     4.5e-10 off at -3 and 1.2e-4 at -6).  Every call in the package has
-    s >= 1.5; those above s = 8 come at a in [0.01, 2] or, in binomial
-    tails, a in [64, 66]: within 9e-16 relative of 80-digit mpmath for s in
-    [6, 30] and [8, 41].
+    s >= 1.5, at a = 1 (zeta(2j), 2j <= 44) or, in the binomial tails of the
+    Chowla-Selberg rows, a in [65, 66] (s <= 60): within 9e-16 relative of
+    80-100 digit mpmath for s in [6, 44] at a in [0.01, 2] and [8, 60] at [64, 66].
     """
     if s == 1.0:
         raise PreconditionError("hurwitz_zeta has a pole at s = 1")

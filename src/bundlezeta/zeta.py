@@ -1,28 +1,23 @@
-"""Spectral zeta functions: lattice constants, Epstein-Hurwitz zeta with
-analytic continuation, the two-dimensional Kronecker-type closed form, and
-the spectral zeta of the integer lattice and of finite bundle tori.
+"""Spectral zeta functions: lattice constants, the continuum (Epstein-Hurwitz) zeta with its analytic
+continuation and its derivative at 0 (Kronecker's second limit formula in d = 2), and the spectral zeta of
+the integer lattice and of finite bundle tori.
 
-Two independent evaluation routes are kept alive wherever the package
-cross-validates itself:
+Two independent routes cross-validate each number:
 
-* ``eigensum``       -- lattice sums over the continuum spectrum (d <= 2),
-                        in oriented Chowla-Selberg rows of bounded cost,
-* ``integral_split`` -- Mellin integrals of the theta function, split at
-                        t0 with the (4 pi t)^{-d/2} leading term removed on
-                        (0, t0]; this is the analytic continuation and is
-                        valid for every s away from the pole at d/2.  For the
-                        continuum torus t0 follows theta's own decay scale
-                        (``_eh_bracket``); the integer lattice splits at 1.
+* ``eigensum``       -- the lattice sum in Chowla-Selberg rows (``_chowla_selberg``): one Poisson
+                        recursion in every d, for s >= d/2 + 0.25 and (d <= 4) the derivative at 0,
+* ``integral_split`` -- Mellin integrals of theta split at t0, with the (4 pi t)^{-d/2} leading term
+                        removed on (0, t0] without cancellation: the analytic continuation, valid for
+                        every s away from the pole at d/2.  The continuum torus splits at theta's own
+                        decay scale (``_eh_bracket``), the integer lattice at 1.
 
-Each derivative at s = 0 is its own split bracket at s = 0 (the zeta
-vanishes there), so it shares the integrals of its zeta.  On (0, t0] the
-continuum integrand is theta minus its leading term, taken without
-cancellation (the Poisson-dual bracket at small t).  Every bracket is one
+Each derivative at s = 0 is its split bracket at s = 0, where the zeta vanishes, and every bracket is one
 call of ``quadrature._mellin_split``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,14 +27,8 @@ from .bundle_graph import TorusBundleSpec, _refuse_trivial, torus_eigenvalues
 from .errors import PreconditionError
 from .heat_theta import ContinuousTorusSpec, theta_continuous, theta_continuous_minus_leading
 from .quadrature import QuadratureSpec, TailRule, _mellin_split, integrate_semi_infinite
-from .special_functions import (
-    bessel_i0_scaled_ratio_minus_one,
-    bessel_i_scaled,
-    bessel_k,
-    hurwitz_zeta,
-    log_bessel_i0_scaled,
-    reciprocal_gamma,
-)
+from .special_functions import _bessel_k, bessel_i0_scaled_ratio_minus_one, bessel_i_scaled, hurwitz_zeta
+from .special_functions import log_bessel_i0_scaled, reciprocal_gamma
 
 EULER_GAMMA = 0.57721566490153286060651209008240243
 
@@ -111,12 +100,7 @@ def lattice_constant_eval(d: int, quad: QuadratureSpec | None = None) -> tuple[f
             return math.exp(-t) * math.expm1(d * log_bessel_i0_scaled(2.0 * t) + t) / t
         return (_scaled_i0_power(d, t) - math.exp(-t)) / t
 
-    res = integrate_semi_infinite(
-        integrand,
-        0.0,
-        quad,
-        tail=TailRule("power", 0.5 * d + 1.0),
-    )
+    res = integrate_semi_infinite(integrand, 0.0, quad, tail=TailRule("power", 0.5 * d + 1.0))
     return -res.value, res.error_estimate
 
 
@@ -130,49 +114,82 @@ def _min_frequency(spec: ContinuousTorusSpec) -> float:
     return sum((min(l, 1.0 - l) / a) ** 2 for a, l in zip(spec.alpha, spec.lam))
 
 
-def _inner_line_sum(c: float, s: float, lam: float) -> float:
-    """sum over k of (c^2 + (k + lam)^2)^{-s} for 0 <= c < 1: 129 terms, then the binomial
-    series (c^2 + v^2)^{-s} = sum_m C(-s, m) c^{2m} v^{-2s-2m} summed over v > 64 by Hurwitz zetas."""
-    acc = float(np.sum((c * c + (np.arange(-64, 65) + lam) ** 2) ** -s))
-    coeff = 1.0
-    for m in range(0, 11):
-        acc += coeff * c ** (2 * m) * (hurwitz_zeta(2 * s + 2 * m, 65 + lam) + hurwitz_zeta(2 * s + 2 * m, 65 - lam))
+_MAX_ROW_TERMS = 2**15  # rows of a level, and its Bessel terms: every d <= 4 torus fits at s <= 10
+_ZETA3 = 1.2020569031595942
+
+
+def _line_row(c: float, s: float, lam: float, whole: bool, reach: float) -> float:
+    """sum over k of (c^2 + (k + lam)^2)^{-s}, s > 1/2, without k = 0, -1 unless ``whole`` (never a zero term).
+    Up to c = reach: 128 terms, then the binomial series (c^2 + v^2)^{-s} = sum_m C(-s, m) c^{2m} v^{-2s-2m} over
+    v > 64 in Hurwitz zetas until a term is below 1e-17 of the sum (for c, s <= 10 each is below a quarter of the
+    one before).  Beyond reach, the Poisson lead (its Bessel terms are dropped)."""
+    ends = sum(w**-s for w in (c * c + lam * lam, c * c + (1.0 - lam) ** 2) if w > 0.0)
+    if c > reach:
+        return math.sqrt(math.pi) * math.exp(math.lgamma(s - 0.5) - math.lgamma(s)) * c ** (1 - 2 * s) - (0.0 if whole else ends)
+    v = np.concatenate((np.arange(1, 65) + lam, np.arange(2, 66) - lam))
+    acc, coeff = float(np.sum((c * c + v * v) ** -s)) + (ends if whole else 0.0), 1.0
+    for m in range(20):
+        term = coeff * c ** (2 * m) * (hurwitz_zeta(2 * s + 2 * m, 65 + lam) + hurwitz_zeta(2 * s + 2 * m, 66 - lam))
+        acc += term
+        if abs(term) < 1e-17 * acc:
+            break
         coeff *= -(s + m) / (m + 1.0)
     return acc
 
 
-def _eigensum(s: float, alpha, lam) -> tuple[float, float]:
-    """The lattice sum of (sum_i ((k_i + lam_i)/b_i)^2)^{-s}, b_i = alpha_i/(2 pi), d <= 2.
+def _clausen3(lam: float) -> float:
+    """sum over m >= 1 of cos(2 pi m lam)/m^3 (no Bernoulli form) = Re Li_3(e^{i theta}), theta = 2 pi min(lam, 1 - lam):
+    zeta(3) - theta^2 (3/2 - log theta)/2 - 2 theta^2 sum_j zeta(2j) (theta/2 pi)^{2j}/(2j (2j+1) (2j+2)).  Term j is
+    below 2 pi^2 zeta(2) 4^{-j}/(8 j^3) at theta <= pi, so the terms past j = 22 add less than 1e-17."""
+    theta = 2.0 * math.pi * min(lam, 1.0 - lam)
+    t = (theta / (2.0 * math.pi)) ** 2
+    series = sum(hurwitz_zeta(2.0 * j, 1.0) * t**j / (2 * j * (2 * j + 1) * (2 * j + 2)) for j in range(1, 23))
+    return _ZETA3 - theta * theta * (0.5 * (1.5 - math.log(theta) if theta else 0.0) + 2.0 * series)
 
-    d = 1 is two Hurwitz zetas.  In d = 2 the rows run along the shorter side b1,
-    Poisson-summed over k2 (Chowla-Selberg): with c = (b2/b1)|k1 + lam1|, row k1 is
-    b2^{2s} [sqrt(pi) Gamma(s-1/2)/Gamma(s) c^{1-2s} + 4 pi^s/Gamma(s) sum_m (m/c)^{s-1/2}
-    K_{s-1/2}(2 pi m c) cos(2 pi m lam2)].  The leading terms of the rows k1 >= 1 and
-    k1 <= -2 add up to two Hurwitz zetas; the rows k1 = 0, -1 are summed directly when
-    c < 1.  Elsewhere c >= 1, so Bessel terms with 2 pi m c <= 42 make at most 14 rows
-    of at most 6 terms at any aspect ratio.
+
+def _chowla_selberg(s: float, b: np.ndarray, lam: np.ndarray, deriv: bool = False, whole: bool = False) -> float:
+    """Z(s) = sum over K of |((k_i + lam_i)/b_i)_i|^{-2s} (K != 0), or with ``deriv`` Z'(s), row by row after a
+    Poisson sum over the direction p of largest b (Chowla-Selberg 1967, Elizalde 1998); b = alpha/(2 pi) gives
+    zeta_EH.  Row K' of the rest, M = |((k_i + lam_i)/b_i)_{i != p}| and c = b_p M, adds 4 pi^s b_p^{2s}/Gamma(s)
+    sum_{m >= 1} (m/c)^{s-1/2} K_{s-1/2}(2 pi m c) cos(2 pi m lam_p) to its lead; the leads add up to
+    b_p sqrt(pi) Gamma(s-1/2)/Gamma(s) Z_{d-1}(s-1/2).  Terms with 2 pi m c > 42 + 2|s-1/2| (about e^{-39} of
+    their row's lead for s <= 10) are dropped, so rows and terms are counted, and refused above the cap, first.
+    * s > d/2: the corner rows (every k_i in {0, -1}) are summed directly and left out of the lead, so every
+      Poisson row has c >= 1; Z leaves out its own corner terms too, unless ``whole``.
+    * s = 0, -1/2, -1, -3/2 (d <= 4 at s = 0): every row is a Poisson row, and one with M = 0 a d = 1 sum.  At a
+      pole -k of Gamma(s - 1/2), Z_{d-1}(-k) = 0: the lead takes the residue (-1)^k/k! times Z_{d-1}'(-k), and
+      (1/Gamma)'(-j) = (-1)^j j!.  At s = 0 the rows are -log|1 - e^{-2 pi c + 2 pi i lam_p}|^2.
     """
-    b = [a / (2.0 * math.pi) for a in alpha]
-    if len(b) == 1:
-        value = b[0] ** (2.0 * s) * (hurwitz_zeta(2.0 * s, lam[0]) + hurwitz_zeta(2.0 * s, 1.0 - lam[0]))
-        return value, 1e-13 * abs(value)
-    (b1, lam1), (b2, lam2) = sorted(zip(b, lam))
-    rho = b2 / b1
-    lead = b2 * math.sqrt(math.pi) * math.exp(math.lgamma(s - 0.5) - math.lgamma(s)) * b1 ** (2.0 * s - 1.0)
-    total = lead * (hurwitz_zeta(2.0 * s - 1.0, 1.0 + lam1) + hurwitz_zeta(2.0 * s - 1.0, 2.0 - lam1))
-    for u in (lam1, 1.0 - lam1):  # |k1 + lam1| on the rows k1 = 0 and -1
-        if rho * u < 1.0:
-            total += b2 ** (2.0 * s) * _inner_line_sum(rho * u, s, lam2)
-        else:
-            total += lead * u ** (1.0 - 2.0 * s)
-    reach = 42.0 / (2.0 * math.pi)  # Bessel terms with 2 pi m c > 42 are below e^{-42} of their row
-    k1 = np.arange(math.ceil(-reach / rho - lam1), math.floor(reach / rho - lam1) + 1)
-    c, m = np.meshgrid(rho * np.abs(k1 + lam1), np.arange(1, int(reach) + 1))
-    keep = (c >= 1.0) & (m * c <= reach)
-    c, m = c[keep], m[keep]
-    terms = (m / c) ** (s - 0.5) * bessel_k(s - 0.5, 2.0 * math.pi * m * c) * np.cos(2.0 * math.pi * m * lam2)
-    total += 4.0 * math.exp(s * math.log(math.pi * b2 * b2) - math.lgamma(s)) * float(terms.sum())
-    return total, 1e-12 * abs(total)
+    i = int(np.argmax(b))
+    bp, lp, b, lam = b[i], lam[i], np.delete(b, i), np.delete(lam, i)
+    if not len(b) and s < 0:  # the d = 1 sums Z(-1/2) = -B_2/b, Z'(-1) and Z(-3/2) = -B_4/(2 b^3)
+        clausen = -_clausen3(lp) / (math.pi * bp) ** 2 if deriv else -((lp * (1.0 - lp)) ** 2 - 1.0 / 30.0) / (2.0 * bp**3)
+        return -bernoulli_b2(lp) / bp if s == -0.5 else clausen
+    rg = (-1) ** round(-s) * math.factorial(round(-s)) if deriv else reciprocal_gamma(s)
+    pole, k = not deriv and s < 0, round(0.5 - s)
+    coef = rg * ((-1) ** k / math.factorial(k) if pole else math.gamma(s - 0.5))  # of the lead, over b_p sqrt(pi)
+    total = bp * math.sqrt(math.pi) * coef * _chowla_selberg(s - 0.5, b, lam, pole) if len(b) else 0.0
+    reach = (42.0 + 2.0 * abs(s - 0.5)) / (2.0 * math.pi)
+    axes = [np.arange(math.ceil(-reach * x / bp - l), math.floor(reach * x / bp - l) + 1) + l for x, l in zip(b, lam)]
+    if (rows := math.prod(map(len, axes))) > _MAX_ROW_TERMS:
+        raise PreconditionError(f"{rows} Chowla-Selberg rows, above the cap {_MAX_ROW_TERMS}")
+    shifts = np.array(np.meshgrid(*axes, indexing="ij")).reshape(len(b), rows)  # the rows' k_i + lam_i
+    c = bp * np.sqrt(np.sum((shifts / b[:, None]) ** 2, axis=0))
+    if deriv and s == 0.0:
+        q = np.exp(-2.0 * math.pi * c[c <= reach])
+        return total - float(np.sum(np.log1p(q * (q - 2.0 * math.cos(2.0 * math.pi * lp)))))
+    if s > 0:
+        for u in itertools.product(*((x, 1.0 - x) for x in lam)):  # |k_i + lam_i| on the corner rows
+            total += bp ** (2.0 * s) * _line_row(bp * math.hypot(*(np.array(u) / b)), s, lp, whole, reach)
+        c = c[~np.all((shifts >= -1.0) & (shifts < 1.0), axis=0)]
+    elif np.any(c == 0.0):
+        total += _chowla_selberg(s, np.array([bp]), np.array([lp]), deriv)
+    c = c[(c > 0.0) & (c <= reach)]
+    if (count := np.floor(reach / c).astype(int)).sum() > _MAX_ROW_TERMS:
+        raise PreconditionError(f"{count.sum()} Chowla-Selberg Bessel terms, above the cap {_MAX_ROW_TERMS}")
+    c, m = np.repeat(c, count), np.arange(1, count.sum() + 1) - np.repeat(np.cumsum(count) - count, count)
+    terms = (m / c) ** (s - 0.5) * _bessel_k(s - 0.5, 2.0 * math.pi * m * c) * np.cos(2.0 * math.pi * m * lp)
+    return total + 4.0 * math.pi**s * bp ** (2.0 * s) * rg * float(terms.sum())
 
 
 def epstein_hurwitz_zeta(
@@ -181,19 +198,14 @@ def epstein_hurwitz_zeta(
     method: str = "auto",
     quad: QuadratureSpec | None = None,
 ) -> ZetaEvaluation:
-    """Continuum spectral zeta  (2 pi)^{-2s} sum_K (sum_i ((k_i+lam_i)/alpha_i)^2)^{-s}.
+    """Continuum spectral zeta  (2 pi)^{-2s} sum_K (sum_i ((k_i+lam_i)/alpha_i)^2)^{-s} (holonomy 1 is stored as 0).
 
-    ``method="eigensum"`` (d <= 2, s >= d/2 + 0.25) is the oriented row sum of
-    ``_eigensum``, of bounded cost at every aspect ratio, with the nominal estimate
-    1e-13 |value| (d = 1) or 1e-12 |value| (d = 2); ``method="integral_split"`` is
-    the Mellin-split analytic continuation (``_eh_bracket``).  ``ContinuousTorusSpec``
-    stores holonomy 1 as 0.
-
-    s must lie in [-2, 10]: there both routes kept their stated accuracy against
-    mpmath at alpha in [0.01, 1e4] (d = 1; 1e-10 relative for the split) and, in
-    d = 2, at aspect ratios 1e-4 to 1e4 (eigensum) or 1e-6 to 1e6 (split, checked
-    against the eigensum at s = 1.5, 2 and 3).  Above 10 the dropped Bessel terms
-    pass 1e-12; below -2 no route has been checked.
+    ``method="eigensum"`` (s >= d/2 + 0.25, the choice of ``"auto"`` there unless its rows pass the cap) is
+    ``_chowla_selberg``, of bounded cost at every aspect ratio, with the nominal estimate 1e-13 |value| in d = 1
+    and 1e-12 |value| above; ``"integral_split"`` is the Mellin split (``_eh_bracket``).  s must lie in [-2, 10],
+    where both kept their stated accuracy: against mpmath at alpha in [0.01, 1e4] (d = 1; 1e-10 relative for the
+    split) and at aspect ratios 1e-4 to 1e4 (d = 2, eigensum), and against each other at ratios 1e-6 to 1e6
+    (d = 2) and 1e-3 to 1e3 (d = 3, 4).  Below -2 no route has been checked.
     """
     if not -2.0 <= s <= 10.0:
         raise PreconditionError(f"s must be finite and in [-2, 10], got {s}")
@@ -201,13 +213,16 @@ def epstein_hurwitz_zeta(
     d = spec.d
     if s == 0.5 * d:
         raise PreconditionError(f"pole at s = d/2 = {0.5 * d}")
-    if method == "auto":
-        method = "eigensum" if (d <= 2 and s >= 0.5 * d + 0.25) else "integral_split"
-    if method == "eigensum":
-        if d > 2 or s < 0.5 * d + 0.25:
-            raise PreconditionError(f"the eigensum route needs d <= 2 and s >= d/2 + 0.25, got d = {d}, s = {s}")
-        return ZetaEvaluation(*_eigensum(s, spec.alpha, spec.lam), "eigensum")
-    if method != "integral_split":
+    if method in ("auto", "eigensum") and s >= 0.5 * d + 0.25:
+        try:
+            value = _chowla_selberg(s, np.array(spec.alpha) / (2.0 * math.pi), np.array(spec.lam), whole=True)
+            return ZetaEvaluation(value, (1e-13 if d == 1 else 1e-12) * abs(value), "eigensum")
+        except PreconditionError:  # rows above the cap (d >= 5 near unit aspect ratios): "auto" splits
+            if method == "eigensum":
+                raise
+    elif method == "eigensum":
+        raise PreconditionError(f"the eigensum route needs s >= d/2 + 0.25, got d = {d}, s = {s}")
+    if method not in ("auto", "integral_split"):
         raise PreconditionError(f"unknown method {method!r} for epstein_hurwitz_zeta")
 
     quad = quad or QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10, max_subdivisions=8000)
@@ -223,33 +238,26 @@ def _eh_bracket(s: float, spec: ContinuousTorusSpec, quad: QuadratureSpec) -> tu
         + int_t0^inf theta(t) t^{s-1} dt
         + prod(alpha) (4 pi)^{-d/2} t0^{s-d/2} / (s - d/2).
 
-    Both integrands follow the form rule of ``heat_theta``, the head one without
-    cancellation.  t0 is 1 clamped into [T, 10 T], T = 1/(4 pi^2 min_freq) the
-    decay scale of theta (so t0 = 1 exactly when T is in [0.1, 1]).  Measured
-    against mpmath and Chowla-Selberg sums (d = 1 at alpha 0.01..1e4, d = 2 at
-    aspect ratios 1e-6..1e6), every t0 in [0.1 T, 10 T] kept 1e-11 relative;
-    100 T lost 1e-2 at s = 10, and 1e-3 T lost 1e-4 beyond its estimate.  The
-    split runs in units of t0 (t0^s factored out), so its absolute tolerance is
-    taken at the torus's own scale.  With no zero mode the zeta vanishes at 0, so at s = 0 the bracket
-    is the derivative there.
+    Both integrands follow the form rule of ``heat_theta``, the head one without cancellation.  t0 is 1 clamped
+    into [T, 10 T], T = 1/(4 pi^2 min_freq) the decay scale of theta (so t0 = 1 exactly when T is in [0.1, 1]).
+    Measured against mpmath and Chowla-Selberg sums (d = 1 at alpha 0.01..1e4, d = 2 at aspect ratios
+    1e-6..1e6), every t0 in [0.1 T, 10 T] kept 1e-11 relative; 100 T lost 1e-2 at s = 10, and 1e-3 T lost 1e-4
+    beyond its estimate.  The split runs in units of t0 (t0^s factored out), so its absolute tolerance is taken
+    at the torus's own scale.  With no zero mode the zeta vanishes at 0, so at s = 0 the bracket is the derivative.
     """
     d, rate = spec.d, 4.0 * math.pi**2 * _min_frequency(spec)
     t0 = min(max(1.0, 1.0 / rate), 10.0 / rate)
     value, err = _mellin_split(
         lambda t: theta_continuous_minus_leading(spec, t) * (t / t0) ** (s - 1.0) / t0,
         lambda t: theta_continuous(spec, t) * (t / t0) ** (s - 1.0) / t0,
-        TailRule("exp", rate),
-        t0,
-        (math.prod(spec.alpha) * (4.0 * math.pi * t0) ** (-0.5 * d) / (s - 0.5 * d),),
-        quad,
+        TailRule("exp", rate), t0, (math.prod(spec.alpha) * (4.0 * math.pi * t0) ** (-0.5 * d) / (s - 0.5 * d),), quad,
     )
     return t0**s * value, t0**s * err
 
 
 def epstein_hurwitz_deriv0(spec: ContinuousTorusSpec, quad: QuadratureSpec | None = None) -> ZetaEvaluation:
-    """d/ds at s = 0 of the continuum spectral zeta: ``_eh_bracket`` at s = 0, where
-    its closed-form term is -(2/d) prod(alpha) (4 pi t0)^{-d/2}.  In dimension two
-    ``kronecker_deriv0`` is the independent closed form.
+    """d/ds at s = 0 of the continuum spectral zeta: ``_eh_bracket`` at s = 0, where its closed-form term is
+    -(2/d) prod(alpha) (4 pi t0)^{-d/2}.  ``_chowla_selberg`` (``kronecker_deriv0`` in d = 2) is the second route.
     """
     _refuse_trivial(spec)
     quad = quad or QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11, max_subdivisions=8000)
@@ -258,21 +266,13 @@ def epstein_hurwitz_deriv0(spec: ContinuousTorusSpec, quad: QuadratureSpec | Non
 
 
 def kronecker_deriv0(alpha1: float, alpha2: float, lam1: float, lam2: float) -> float:
-    """Closed form for the derivative at 0 in dimension two:
-
-        2 pi (alpha1/alpha2) B2(lam2)
-        - 2 log prod over n in Z of |1 - e^{2 pi i lam1} e^{-2 pi (alpha1/alpha2)|n + lam2|}|.
-
-    The form is symmetric in the two directions.  Taken with alpha1 >= alpha2,
-    the factors with |n + lam2| >= 7 differ from 1 by less than e^{-14 pi} and are dropped.
+    """Kronecker's second limit formula, the derivative at 0 in d = 2: ``_chowla_selberg`` at s = 0, whose lead
+    is -2 pi b_p Z_1(-1/2) = 2 pi rho B2(lam_q), rho = alpha_p/alpha_q >= 1.  It drops the factors of
+    prod_n |1 - e^{2 pi i lam_p} e^{-2 pi rho |n + lam_q|}|^2 that differ from 1 by less than e^{-41}.
     """
-    _refuse_trivial(ContinuousTorusSpec((alpha1, alpha2), (lam1, lam2)))  # else the n = 0 factor vanishes
-    if alpha1 < alpha2:
-        alpha1, alpha2, lam1, lam2 = alpha2, alpha1, lam2, lam1
-    rho = alpha1 / alpha2
-    r = np.exp(-2.0 * math.pi * rho * np.abs(np.arange(-7, 7) + lam2))
-    log_product = 0.5 * float(np.sum(np.log1p(r * (r - 2.0 * math.cos(2.0 * math.pi * lam1)))))
-    return 2.0 * math.pi * rho * bernoulli_b2(lam2) - 2.0 * log_product
+    spec = ContinuousTorusSpec((alpha1, alpha2), (lam1, lam2))
+    _refuse_trivial(spec)
+    return _chowla_selberg(0.0, np.array(spec.alpha) / (2.0 * math.pi), np.array(spec.lam), True)
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +314,7 @@ def lattice_zeta(s: float, d: int, quad: QuadratureSpec | None = None) -> ZetaEv
     if s == 0.5 * d:
         raise PreconditionError(f"pole at s = d/2 = {0.5 * d}")
     if not (-1.0 < s < 0.5 * d + 1.0):
-        raise PreconditionError(
-            f"s = {s} outside the implemented continuation window "
-            f"(-1, {0.5 * d + 1.0}) for d = {d}"
-        )
+        raise PreconditionError(f"s = {s} outside the implemented continuation window (-1, {0.5 * d + 1.0}) for d = {d}")
     if s == 0.0:
         return ZetaEvaluation(1.0, 0.0, "integral_split")
     quad = quad or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10, max_subdivisions=8000)

@@ -384,6 +384,8 @@ def test_csv_floats_17_digits(capsys):
         "zeta eh --d 1 --alpha 1,1 --lambda 0.3,0.7 --s 2",
         "theta --alpha 1 --a 4 --lambda 0.3 --t-grid 1",
         "theta --alpha 1 --weights-file sample_specs/cycle5.json --lambda 0.3 --t-grid 1",
+        # an --out whose directory is missing is refused before the route runs, on stdout
+        "detlog --d 1 --a 3 --lambda 0.5 --out no-such-directory/x.json",
     ],
 )
 def test_precondition_refusal_table(capsys, monkeypatch, argv):

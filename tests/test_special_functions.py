@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from bundlezeta.errors import PreconditionError
 from bundlezeta.special_functions import (
+    _bessel_k,
     bessel_i_complex,
     bessel_i_scaled,
     bessel_i_scaled_many,
@@ -65,6 +66,7 @@ def test_bessel_generating_function(z):
 
 def test_bessel_branch_consistency():
     from bundlezeta.special_functions import (
+    _bessel_k,
         _bessel_asymptotic_scaled,
         _bessel_debye_scaled,
         _bessel_miller_scaled,
@@ -228,6 +230,25 @@ def test_bessel_k_against_mpmath():
         assert bessel_k(nu, x) == pytest.approx(exact, rel=5e-15, abs=0.0), nu
         for xi, e in zip(x[::3], exact[::3]):
             assert bessel_k(nu, np.array([xi]))[0] == pytest.approx(e, rel=5e-15, abs=0.0), (nu, xi)
+
+
+@pytest.mark.parametrize("s,a_values", [(s, (0.01, 1.0, 2.0)) for s in (36.0, 44.0)] + [(s, (64.0, 65.3, 66.0)) for s in (45.0, 52.5, 60.0)])
+def test_hurwitz_zeta_against_mpmath_for_the_chowla_selberg_calls(s, a_values):
+    # the docstring's range of the Clausen sum (a = 1, s <= 44) and of the row tails (a in [65, 66], s <= 60)
+    mpmath = pytest.importorskip("mpmath")
+    for a in a_values:
+        with mpmath.workdps(100):
+            exact = float(mpmath.zeta(s, a))
+        assert hurwitz_zeta(s, a) == pytest.approx(exact, rel=9e-16, abs=0.0)
+
+
+def test_unchecked_bessel_k_below_one_against_mpmath():
+    # _bessel_k serves the Chowla-Selberg rows at s <= 0, whose arguments go below 1
+    mpmath = pytest.importorskip("mpmath")
+    x = np.array([1e-3, 3e-3, 0.01, 0.05, 0.1, 0.3, 0.63, 0.99, 5.0, 44.0])
+    for nu in (-1.0, -1.5, -2.0):
+        exact = [float(mpmath.besselk(nu, xi)) for xi in x]
+        assert _bessel_k(nu, x) == pytest.approx(exact, rel=5e-16, abs=0.0), nu
 
 
 def test_bessel_k_refuses_small_argument():

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import bundlezeta.zeta as zeta_module
 from bundlezeta.bundle_graph import TorusBundleSpec, build_torus, laplacian
 from bundlezeta.errors import PreconditionError
 from bundlezeta.heat_theta import ContinuousTorusSpec
@@ -12,6 +13,7 @@ from bundlezeta.quadrature import QuadratureSpec
 from bundlezeta.special_functions import hurwitz_zeta
 from bundlezeta.zeta import (
     ZetaEvaluation,
+    _chowla_selberg,
     bernoulli_b2,
     epstein_hurwitz_deriv0,
     epstein_hurwitz_zeta,
@@ -128,8 +130,8 @@ def test_eh_refusals():
         epstein_hurwitz_zeta(0.6, spec, method="eigensum")  # too close to pole
     with pytest.raises(PreconditionError):
         epstein_hurwitz_zeta(
-            2.0, ContinuousTorusSpec((1.0, 1.0, 1.0), (0.5, 0.5, 0.5)), method="eigensum"
-        )
+            1.6, ContinuousTorusSpec((1.0, 1.0, 1.0), (0.5, 0.5, 0.5)), method="eigensum"
+        )  # below d/2 + 0.25
 
 
 def _eh_chowla_selberg_mpmath(mpmath, besselk, s, alpha, lam):
@@ -323,6 +325,123 @@ def test_kronecker_matches_integral_randomized(lam1, lam2, ratio):
     integral = epstein_hurwitz_deriv0(spec)
     closed = kronecker_deriv0(ratio, 1.0, lam1, lam2)
     assert integral.value == pytest.approx(closed, abs=5e-9)
+
+
+# ---------------------------------------------------------------------------
+# Chowla-Selberg rows in every dimension
+# ---------------------------------------------------------------------------
+
+
+def _cs_deriv0(alpha, lam):
+    return _chowla_selberg(0.0, np.array(alpha) / (2.0 * math.pi), np.array(lam, dtype=float), True)
+
+
+def test_eh_method_agreement_d3_d4():
+    # the eigensum refused d > 2 before; d = 3 at s = 2 is the case that refusal was tested on
+    cases = [(2.0, (1.0, 1.0, 1.0), (0.5, 0.5, 0.5)), (1.75, (1.0, 2.0, 0.5), (0.3, 0.7, 0.2)), (6.0, (45.7, 4.76, 319.0), (0.5, 0.01, 0.0))]
+    cases += [(2.25, (1.0, 1.0, 1.0, 1.0), (0.3, 0.7, 0.2, 0.1)), (9.5, (0.2, 440.0, 0.016, 850.0), (0.5, 0.99, 0.99, 0.01))]
+    for s, alpha, lam in cases:
+        spec = ContinuousTorusSpec(alpha, lam)
+        a = epstein_hurwitz_zeta(s, spec)
+        b = epstein_hurwitz_zeta(s, spec, method="integral_split")
+        assert a.method == "eigensum"
+        assert abs(a.value - b.value) <= max(1e-12 * abs(a.value), b.error_estimate), (s, alpha, lam)
+
+
+@given(
+    st.sampled_from((3, 4)),
+    st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+    st.lists(st.sampled_from((0.0, 0.01, 0.5, 0.99)), min_size=4, max_size=4),
+    st.floats(0.0, 1.0),
+)
+@settings(max_examples=60)
+def test_chowla_selberg_matches_split_d3_d4(d, log_ratios, lams, u):
+    # aspect ratios 1e-3..1e3 against the first side, holonomies at the edges of [0, 1).  The split runs at
+    # rel_tol 1e-12: at its default 1e-10 it misses (1, 1, 1, 1), (0, 0, 0, 0.01), s = 2.25 by 4.3 times its
+    # estimate (1.2e-5 against 2.8e-6), where both routes agree to 2e-16 at rel_tol 1e-12 and 1e-13
+    lam = tuple(lams[:d])
+    assume(any(lam))
+    alpha = (1.0,) + tuple(10.0**x for x in log_ratios[: d - 1])
+    spec, quad = ContinuousTorusSpec(alpha, lam), QuadratureSpec(abs_tol=1e-14, rel_tol=1e-12, max_subdivisions=8000)
+    value, split = _cs_deriv0(alpha, lam), epstein_hurwitz_deriv0(spec, quad)
+    assert abs(value - split.value) <= max(1e-12 * abs(value), split.error_estimate), (alpha, lam)
+    s = 0.5 * d + 0.25 + u * (9.75 - 0.5 * d)
+    res, split = epstein_hurwitz_zeta(s, spec, method="eigensum"), epstein_hurwitz_zeta(s, spec, "integral_split", quad)
+    assert abs(res.value - split.value) <= max(1e-12 * abs(res.value), split.error_estimate), (s, alpha, lam)
+
+
+def _eh_deriv0_d3_mpmath(mpmath, alpha, lam):
+    """zeta_EH'(0) in d = 3 by Epstein's functional equation, in mpmath (16 digits), b = alpha/(2 pi):
+
+        prod(b) Zhat/(2 pi) - sum_{k2, k3} log|1 - e^{-2 pi b1 M + 2 pi i lam1}|^2,
+
+    M = |((k2 + lam2)/b2, (k3 + lam3)/b3)|, and Zhat = sum_{m != 0} cos(2 pi m.(lam2, lam3))/|(b2 m2, b3 m3)|^3
+    Poisson-summed over m2: the row m3 = 0 is 2 Re Li_3(e^{2 pi i lam2})/b2^3, and a row m3 != 0, A = b3 |m3|, is
+    cos(2 pi m3 lam3) (4 pi/b2) sum_j (|eta|/A) K_1(2 pi A |eta|), eta = (j - lam2)/b2 (lam2 not 0).  Bessel
+    terms past 2 pi A |eta| = 36 (below 1e-15) and factors past 2 pi b1 M = 40 are dropped.
+    """
+    mp = mpmath
+    with mp.workdps(16):
+        (b1, b2, b3), (l1, l2, l3) = [mp.mpf(a) / (2 * mp.pi) for a in alpha], [mp.mpf(x) for x in lam]
+        zhat = 2 * mp.re(mp.polylog(3, mp.expjpi(2 * l2))) / b2**3
+        for m3 in range(1, int(36 * b2 / (2 * mp.pi * b3 * min(l2, 1 - l2))) + 2):
+            a, r = b3 * m3, 36 * b2 / (2 * mp.pi * b3 * m3)  # the terms kept have |j - lam2| <= r
+            row = sum(abs(j - l2) / (a * b2) * mp.besselk(1, 2 * mp.pi * a * abs(j - l2) / b2) for j in range(int(l2 - r), int(l2 + r) + 1))
+            zhat += 2 * mp.cos(2 * mp.pi * m3 * l3) * 4 * mp.pi / b2 * row
+        logs, reach = 0, 40 / (2 * mp.pi * b1)
+        for k2 in range(int(-reach * b2 - l2) - 1, int(reach * b2 - l2) + 2):
+            for k3 in range(int(-reach * b3 - l3) - 1, int(reach * b3 - l3) + 2):
+                c = b1 * mp.sqrt(((k2 + l2) / b2) ** 2 + ((k3 + l3) / b3) ** 2)
+                if c <= reach * b1:
+                    logs += mp.log(abs(1 - mp.exp(-2 * mp.pi * c + 2j * mp.pi * l1)) ** 2)
+        return float(b1 * b2 * b3 * zhat / (2 * mp.pi) - logs)
+
+
+@pytest.mark.parametrize(
+    "alpha, lam, expected",
+    [((1.0, 1.0, 1.0), (0.3, 0.7, 0.2), -0.145309690347362), ((2.0, 1.0, 1.0), (0.3, 0.7, 0.2), -0.131490470459783),
+     ((1.0, 1.0, 1.0), (0.5, 0.5, 0.5), -0.515443140336976)],
+)
+def test_chowla_selberg_deriv0_d3_against_mpmath(alpha, lam, expected):
+    mpmath = pytest.importorskip("mpmath")
+    ref = _eh_deriv0_d3_mpmath(mpmath, alpha, lam)
+    assert ref == pytest.approx(expected, rel=1e-14, abs=0.0)
+    assert _cs_deriv0(alpha, lam) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_chowla_selberg_deriv0_ends():
+    # d = 1: -log(4 sin^2 pi lam) at every alpha; d = 2: the Kronecker form
+    for alpha, lam in ((0.01, 0.3), (1.0, 0.02), (50.0, 0.5)):
+        assert _cs_deriv0((alpha,), (lam,)) == pytest.approx(-2.0 * math.log(2.0 * math.sin(math.pi * lam)), rel=1e-14, abs=0.0)
+    assert _cs_deriv0((1.1, 0.9), (0.3, 0.7)) == kronecker_deriv0(1.1, 0.9, 0.3, 0.7)
+
+
+def test_chowla_selberg_cap_refused():
+    # d = 5 at unit ratios has 16^4 rows at s = 3, above the 2^15 cap: refused before they are built,
+    # and "auto" takes the integral split there
+    spec = ContinuousTorusSpec((1.0,) * 5, (0.3,) * 5)
+    with pytest.raises(PreconditionError, match="above the cap"):
+        epstein_hurwitz_zeta(3.0, spec, method="eigensum")
+    assert epstein_hurwitz_zeta(3.0, spec).method == "integral_split"
+    # at s = -1/2 the row with k3 + lam3 = 1e-7 would need 7e7 Bessel terms
+    with pytest.raises(PreconditionError, match="above the cap"):
+        _cs_deriv0((1.0, 1.0, 1.0), (0.5, 0.5, 1e-7))
+
+
+def test_hurwitz_calls_stay_in_documented_range(monkeypatch):
+    # hurwitz_zeta's docstring: every call in the package has s >= 1.5, at a = 1 (s <= 44) or a in [65, 66] (s <= 60)
+    calls = []
+    monkeypatch.setattr(zeta_module, "hurwitz_zeta", lambda s, a: calls.append((s, a)) or hurwitz_zeta(s, a))
+    for d in (1, 2, 3, 4):
+        for s in (0.5 * d + 0.25, 10.0):
+            for alpha, lam in (((1.0,) * d, (0.3, 0.7, 0.2, 0.4)[:d]), (tuple(10.0 ** np.linspace(-3, 3, d)), (0.01, 0.0, 0.5, 0.99)[:d])):
+                epstein_hurwitz_zeta(s, ContinuousTorusSpec(alpha, lam), method="eigensum")
+    kronecker_deriv0(1.1, 0.9, 0.3, 0.7)
+    for alpha, lam in (((1.0, 1.0, 1.0), (0.3, 0.7, 0.2)), ((1e-3, 1.0, 1e3), (0.0, 0.01, 0.99))):
+        _cs_deriv0(alpha, lam)
+    assert {a for _, a in calls} & {1.0}
+    for s, a in calls:
+        assert s >= 1.5 and ((a == 1.0 and s <= 44.0) or (65.0 <= a <= 66.0 and s <= 60.0)), (s, a)
 
 
 # ---------------------------------------------------------------------------
