@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bundle_graph import TorusBundleSpec, _holonomy_of_row, _refuse_above_cap, _refuse_trivial, build_torus, laplacian, line_spectrum, outer_spectrum
+from .bundle_graph import TorusBundleSpec, _holonomy_of_row, _one_twist_rows, _refuse_above_cap, _refuse_trivial, build_torus, laplacian, line_spectrum, outer_spectrum
 from .errors import PreconditionError
 from .heat_theta import ContinuousTorusSpec, theta_continuous, theta_discrete, theta_discrete_minus_leading
 from .quadrature import QuadratureSpec, TailRule, _mellin_split, integrate_semi_infinite
@@ -165,7 +165,7 @@ def log_f(sides: Sequence[int], z: Sequence[complex]) -> float:
     """
     if len(z) != len(sides):
         raise PreconditionError("need one twist per direction")
-    spec = TorusBundleSpec(len(sides), sides, [[1.0] * (a - 1) + [w] for a, w in zip(sides, z)])
+    spec = TorusBundleSpec(len(sides), sides, _one_twist_rows(len(sides), sides, z))
     if spec.is_trivial:
         return log_det_star(spec)
     return log_det(spec)

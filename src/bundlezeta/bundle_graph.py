@@ -54,6 +54,9 @@ class UnitWeight:
     def __post_init__(self):
         object.__setattr__(self, "value", _coerce_unit(self.value))
 
+    def __complex__(self) -> complex:
+        return self.value
+
 
 @dataclass(frozen=True)
 class LineBundleGraph:
@@ -117,47 +120,35 @@ class LineBundleGraph:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TorusBundleSpec:
     """Discrete torus Cayley graph of prod Z/a_i Z with per-edge unit weights.
 
-    ``weights[i][j]`` sits on the oriented edge j -> j+1 of the i-th cyclic
-    factor; ``len(weights[i]) == a[i]``.
+    ``weights[i]`` is a read-only complex128 array of length ``a[i]``, copied
+    from the caller's row; ``weights[i][j]`` sits on the oriented edge
+    j -> j+1 of the i-th cyclic factor.  A sum(a) above ``MAX_EIGENVALUES``
+    edge weights is refused before any row is built.  Specs compare by
+    identity: a tuple of arrays has no value equality.
     """
 
     d: int
     a: tuple[int, ...]
-    weights: tuple[tuple[complex, ...], ...]
+    weights: tuple[np.ndarray, ...]
 
     def __init__(self, d: int, a: Sequence[int], weights: Sequence[Sequence[object]]):
-        if d < 1:
-            raise PreconditionError("dimension must be >= 1")
-        a = tuple(int(x) for x in a)
-        if len(a) != d or any(x < 1 for x in a):
-            raise PreconditionError("need d positive side lengths")
+        a = _sides(d, a)
         if len(weights) != d:
             raise PreconditionError("need one weight list per direction")
-        rows = []
-        for i, row in enumerate(weights):
-            if len(row) != a[i]:
-                raise PreconditionError(
-                    f"direction {i}: expected {a[i]} weights, got {len(row)}"
-                )
-            rows.append(tuple(_coerce_unit(w) for w in row))
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "weights", tuple(rows))
+        object.__setattr__(self, "weights", tuple(_unit_row(i, ai, row) for i, (ai, row) in enumerate(zip(a, weights))))
 
     @staticmethod
     def single_twist(d: int, a: Sequence[int], lam: Sequence[float]) -> "TorusBundleSpec":
         """All edges trivial except one per direction carrying e^{2 pi i lam_i}."""
         if len(lam) != d:
             raise PreconditionError("need one holonomy per direction")
-        weights = []
-        for ai, li in zip(a, lam):
-            row = [1.0 + 0.0j] * (ai - 1) + [cmath.exp(2j * math.pi * li)]
-            weights.append(row)
-        return TorusBundleSpec(d, a, weights)
+        return TorusBundleSpec(d, a, _one_twist_rows(d, a, [cmath.exp(2j * math.pi * li) for li in lam]))
 
     @cached_property
     def holonomies(self) -> tuple[float, ...]:
@@ -172,6 +163,34 @@ class TorusBundleSpec:
     @property
     def vertex_count(self) -> int:
         return math.prod(self.a)
+
+
+def _sides(d: int, a: Sequence[int]) -> tuple[int, ...]:
+    """The d side lengths as ints, once each is >= 1 and their sum, the edge-weight count, is within the cap."""
+    if d < 1:
+        raise PreconditionError("dimension must be >= 1")
+    a = tuple(int(x) for x in a)
+    if len(a) != d or any(x < 1 for x in a):
+        raise PreconditionError("need d positive side lengths")
+    _refuse_above_cap(sum(a), "edge weights")
+    return a
+
+
+def _unit_row(i: int, a: int, row: Sequence[object]) -> np.ndarray:
+    """Direction i's a weights as a read-only complex128 copy, once every one is unit modulus."""
+    if len(row) != a:
+        raise PreconditionError(f"direction {i}: expected {a} weights, got {len(row)}")
+    w = np.array(row, dtype=complex)
+    bad = np.abs(np.hypot(w.real, w.imag) - 1.0) > UNIT_MODULUS_TOL  # hypot is Python's abs bit for bit; np.abs is not
+    if bad.any():
+        _coerce_unit(complex(w[bad][0]))  # refuses the first bad weight with its own message
+    w.setflags(write=False)
+    return w
+
+
+def _one_twist_rows(d: int, a: Sequence[int], twists: Sequence[object]) -> list[np.ndarray]:
+    """Per direction, a_i trivial weights but the last, which is twists[i]."""
+    return [np.append(np.ones(ai - 1, dtype=complex), complex(w)) for ai, w in zip(_sides(d, a), twists)]
 
 
 def _refuse_trivial(spec) -> None:
@@ -197,11 +216,11 @@ def _refuse_dense(n: int) -> None:
 
 
 def _holonomy_of_row(row: Sequence[complex]) -> float:
-    turns = sum(cmath.phase(w) for w in row) / (2.0 * math.pi)
+    # phases summed in index order; an entry exactly 1 adds +-0.0, which never changes the sum
+    row = np.asarray(row, dtype=complex)
+    turns = sum(cmath.phase(w) for w in row[row != 1].tolist()) / (2.0 * math.pi)
     lam = turns - math.floor(turns)
-    if lam >= 1.0:  # ties at a full turn map to 0
-        lam = 0.0
-    return lam
+    return 0.0 if lam >= 1.0 else lam  # ties at a full turn map to 0
 
 
 @dataclass(frozen=True, eq=False)

@@ -179,6 +179,14 @@ def test_log_det_large_torus_is_fast():
     assert value == pytest.approx(1e10 * 4.0 * 0.915965594177219015 / math.pi, rel=1e-9, abs=0.0)
 
 
+def test_log_det_long_cycle_costs_its_closed_form_with_the_spec_build():
+    # 2^21 weights: the spec's numpy rows and holonomy sum, not a Python loop per edge
+    start = time.perf_counter()
+    value = log_det(TorusBundleSpec.single_twist(1, (2**21,), (0.3,)))
+    assert time.perf_counter() - start < 0.3
+    assert value == pytest.approx(math.log(4.0 * math.sin(0.3 * math.pi) ** 2), rel=1e-15, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # exact decomposition
 # ---------------------------------------------------------------------------

@@ -141,6 +141,76 @@ def test_holonomy_wraps_into_unit_interval():
     assert lam == pytest.approx(0.5, abs=1e-13)
 
 
+def _phase_sum_holonomy(row):
+    # the per-weight definition: every phase summed in index order, folded into [0, 1)
+    turns = sum(cmath.phase(w) for w in row) / (2.0 * math.pi)
+    lam = turns - math.floor(turns)
+    return 0.0 if lam >= 1.0 else lam
+
+
+def test_holonomies_equal_the_per_weight_phase_sum_bit_for_bit():
+    rng = np.random.default_rng(23)
+    rows = []
+    for _ in range(2000):
+        n = int(rng.integers(1, 40))
+        row = [unit(x) for x in rng.uniform(0, 1, n)]
+        for j in np.flatnonzero(rng.random(n) < 0.5):
+            row[j] = 1 + 0j
+        rows.append(row)
+    rows += [[complex(1, -0.0)] * n for n in (1, 2, 7)]
+    folds = [[1j, 1j, -1], [1, complex(1, -1e-300), 1]]  # a full turn, and a hair below 0 turns
+    for row in rows + folds:
+        lam = TorusBundleSpec(1, (len(row),), [row]).holonomies[0]
+        expected = _phase_sum_holonomy(row)
+        assert (lam, math.copysign(1.0, lam)) == (expected, math.copysign(1.0, expected))
+    assert [_phase_sum_holonomy(row) for row in folds] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("position", [0, 3, 6])
+def test_non_unit_weight_refused_naming_the_first(position):
+    row = [unit(0.1 * j) for j in range(7)]
+    row[position] = 1.0 + 1e-6
+    if position < 6:
+        row[6] = 2.0
+    with pytest.raises(PreconditionError) as refused:
+        TorusBundleSpec(1, (7,), [row])
+    assert str(refused.value) == "edge weight (1.000001+0j) is not unit modulus (| |w|-1 | = 1e-06)"
+
+
+def test_spec_rows_accept_complex_unit_weight_real_and_numpy_input():
+    expected = [1 + 0j, -1 + 0j, 1 + 0j]
+    for row in (
+        [1 + 0j, -1 + 0j, 1 + 0j],
+        [UnitWeight(1), UnitWeight(-1.0), UnitWeight(1)],
+        [1, -1.0, 1],
+        np.array([1, -1, 1], dtype=complex),
+        np.array([1.0, -1.0, 1.0]),
+    ):
+        spec = TorusBundleSpec(1, (3,), [row])
+        assert spec.weights[0].dtype == np.complex128
+        assert spec.weights[0].tolist() == expected
+        assert spec.holonomies == (0.5,)
+
+
+def test_spec_rows_are_read_only_copies_and_specs_compare_by_identity():
+    source = np.array([1, 1, -1], dtype=complex)
+    spec = TorusBundleSpec(1, (3,), [source])
+    assert not spec.weights[0].flags.writeable
+    with pytest.raises(ValueError):
+        spec.weights[0][0] = -1
+    source[2] = 1
+    assert spec.weights[0].tolist() == [1, 1, -1]
+    assert spec.holonomies == (0.5,)
+    assert spec == spec and spec != TorusBundleSpec(1, (3,), spec.weights)  # equal rows, another spec
+
+
+def test_edge_weights_above_the_cap_refused_before_any_row_is_built():
+    with pytest.raises(PreconditionError, match="4000001 edge weights requested, above the cap"):
+        TorusBundleSpec.single_twist(2, (2_000_000, 2_000_001), (0.3, 0.7))
+    with pytest.raises(PreconditionError, match="edge weights requested, above the cap"):
+        TorusBundleSpec(1, (4_000_001,), [()])
+
+
 # ---------------------------------------------------------------------------
 # Laplacian
 # ---------------------------------------------------------------------------

@@ -386,6 +386,8 @@ def test_csv_floats_17_digits(capsys):
         "theta --alpha 1 --weights-file sample_specs/cycle5.json --lambda 0.3 --t-grid 1",
         # an --out whose directory is missing is refused before the route runs, on stdout
         "detlog --d 1 --a 3 --lambda 0.5 --out no-such-directory/x.json",
+        # sum(a) edge weights above the 4M-value cap, refused before any row is built
+        "detlog --d 1 --a 4000001 --lambda 0.3",
     ],
 )
 def test_precondition_refusal_table(capsys, monkeypatch, argv):
