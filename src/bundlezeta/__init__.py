@@ -25,7 +25,6 @@ from .bundle_graph import (
     HermitianOperator,
     LineBundleGraph,
     TorusBundleSpec,
-    UnitWeight,
     build_torus,
     laplacian,
     load_spec_file,

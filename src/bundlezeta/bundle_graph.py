@@ -2,7 +2,10 @@
 
 A line bundle assigns a unit-modulus complex weight to every oriented
 edge, with the inverse weight conj(w) = 1/w on the reversed orientation;
-only one orientation is ever stored.  The bundle Laplacian acts as
+only one orientation is ever stored.  A ``LineBundleGraph`` keeps its edges
+as read-only arrays of tails, heads and weights, checked in one pass:
+integral ends, and weights of unit modulus within 1e-12 (NaN is refused).
+The bundle Laplacian acts as
 
     (L f)(v) = sum over edge-ends at v of ( f(v) - w_{u -> v} f(u) ),
 
@@ -36,88 +39,76 @@ MAX_DENSE_BYTES = 2**28  # one dense complex128 matrix: 256 MiB, so N <= 4096
 MAX_EIGENVALUES = 4_000_000  # largest closed-form spectrum built in memory (32 MB)
 
 
-def _coerce_unit(value) -> complex:
-    w = value.value if isinstance(value, UnitWeight) else complex(value)
-    if abs(abs(w) - 1.0) > UNIT_MODULUS_TOL:
-        raise PreconditionError(
-            f"edge weight {w!r} is not unit modulus (| |w|-1 | = {abs(abs(w)-1.0):.3g})"
-        )
-    return w
-
-
-@dataclass(frozen=True)
-class UnitWeight:
-    """A complex number constrained to the unit circle (tolerance 1e-12)."""
-
-    value: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", _coerce_unit(self.value))
-
-    def __complex__(self) -> complex:
-        return self.value
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LineBundleGraph:
-    """Connected multigraph with one stored orientation per unoriented edge."""
+    """Connected multigraph with one stored orientation per unoriented edge.
+
+    Edge k runs ``tails[k] -> heads[k]`` with weight ``weights[k]``: read-only intp, intp and
+    complex128 arrays, copied from ``edges``, anything numpy reads as an (E, 3) complex array of
+    (tail, head, weight).  Graphs compare by identity: arrays have no value equality.
+    """
 
     vertex_count: int
-    edges: tuple[tuple[int, int, complex], ...]
+    tails: np.ndarray
+    heads: np.ndarray
+    weights: np.ndarray
 
     def __init__(self, vertex_count: int, edges: Sequence[tuple[int, int, object]]):
         if vertex_count < 1:
             raise PreconditionError("graph needs at least one vertex")
         if len(edges) < vertex_count - 1:  # refused before _connected allocates per vertex
             raise PreconditionError("graph must be connected")
-        clean = []
-        for tail, head, weight in edges:
-            if not (0 <= tail < vertex_count and 0 <= head < vertex_count):
-                raise PreconditionError(f"edge ({tail}, {head}) out of vertex range")
-            clean.append((int(tail), int(head), _coerce_unit(weight)))
+        table = np.array(edges, dtype=complex).reshape(len(edges), 3)
+        ends = table[:, :2]
+        bad = ends != np.minimum(np.maximum(np.floor(ends.real), 0), vertex_count - 1)  # also NaN, a fraction, an imaginary part
+        if bad.any():
+            tail, head = edges[int(np.argmax(bad.any(axis=1)))][:2]
+            raise PreconditionError(f"edge ({tail}, {head}) needs integral ends in [0, {vertex_count})")
+        tails, heads = ends.real.T.astype(np.intp, order="C")
+        for column in (tails, heads):
+            column.setflags(write=False)
         object.__setattr__(self, "vertex_count", int(vertex_count))
-        object.__setattr__(self, "edges", tuple(clean))
+        object.__setattr__(self, "tails", tails)
+        object.__setattr__(self, "heads", heads)
+        object.__setattr__(self, "weights", _unit_row(table[:, 2]))
         if not self._connected():
             raise PreconditionError("graph must be connected")
 
     def _connected(self) -> bool:
         adj = [[] for _ in range(self.vertex_count)]
-        for a, b, _ in self.edges:
+        for a, b in self.edge_endpoints:
             adj[a].append(b)
             adj[b].append(a)
         seen = [False] * self.vertex_count
         stack = [0]
         seen[0] = True
-        count = 1
         while stack:
             v = stack.pop()
             for w in adj[v]:
                 if not seen[w]:
                     seen[w] = True
-                    count += 1
                     stack.append(w)
-        return count == self.vertex_count
+        return all(seen)
 
-    @property
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, complex], ...]:
+        """(tail, head, weight) per edge, as Python int, int and complex."""
+        return tuple(zip(self.tails.tolist(), self.heads.tolist(), self.weights.tolist()))
+
+    @cached_property
     def edge_endpoints(self) -> tuple[tuple[int, int], ...]:
-        return tuple((a, b) for a, b, _ in self.edges)
+        return tuple(zip(self.tails.tolist(), self.heads.tolist()))
 
     def reversed_orientations(self) -> "LineBundleGraph":
         """Same unoriented bundle with every stored orientation flipped."""
-        return LineBundleGraph(
-            self.vertex_count,
-            [(b, a, 1.0 / w) for a, b, w in self.edges],
-        )
+        return LineBundleGraph(self.vertex_count, [(b, a, 1.0 / w) for a, b, w in self.edges])
 
     def gauge_transformed(self, phases: Sequence[complex]) -> "LineBundleGraph":
         """Conjugate the bundle by the unitary diagonal diag(phases)."""
         if len(phases) != self.vertex_count:
             raise PreconditionError("need one unit phase per vertex")
-        u = [_coerce_unit(p) for p in phases]
-        return LineBundleGraph(
-            self.vertex_count,
-            [(a, b, u[b] * w * u[a].conjugate()) for a, b, w in self.edges],
-        )
+        u = _unit_row(phases).tolist()
+        return LineBundleGraph(self.vertex_count, [(a, b, u[b] * w * u[a].conjugate()) for a, b, w in self.edges])
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,9 +130,12 @@ class TorusBundleSpec:
         a = _sides(d, a)
         if len(weights) != d:
             raise PreconditionError("need one weight list per direction")
+        for i, (ai, row) in enumerate(zip(a, weights)):
+            if len(row) != ai:
+                raise PreconditionError(f"direction {i}: expected {ai} weights, got {len(row)}")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "weights", tuple(_unit_row(i, ai, row) for i, (ai, row) in enumerate(zip(a, weights))))
+        object.__setattr__(self, "weights", tuple(_unit_row(row) for row in weights))
 
     @staticmethod
     def single_twist(d: int, a: Sequence[int], lam: Sequence[float]) -> "TorusBundleSpec":
@@ -176,14 +170,13 @@ def _sides(d: int, a: Sequence[int]) -> tuple[int, ...]:
     return a
 
 
-def _unit_row(i: int, a: int, row: Sequence[object]) -> np.ndarray:
-    """Direction i's a weights as a read-only complex128 copy, once every one is unit modulus."""
-    if len(row) != a:
-        raise PreconditionError(f"direction {i}: expected {a} weights, got {len(row)}")
+def _unit_row(row: Sequence[object]) -> np.ndarray:
+    """The weights as a read-only complex128 copy, once every one is unit modulus (NaN is not)."""
     w = np.array(row, dtype=complex)
-    bad = np.abs(np.hypot(w.real, w.imag) - 1.0) > UNIT_MODULUS_TOL  # hypot is Python's abs bit for bit; np.abs is not
+    gap = np.abs(np.hypot(w.real, w.imag) - 1.0)  # hypot is Python's abs bit for bit; np.abs is not
+    bad = ~(gap <= UNIT_MODULUS_TOL)
     if bad.any():
-        _coerce_unit(complex(w[bad][0]))  # refuses the first bad weight with its own message
+        raise PreconditionError(f"edge weight {complex(w[bad][0])!r} is not unit modulus (| |w|-1 | = {gap[bad][0]:.3g})")
     w.setflags(write=False)
     return w
 
@@ -271,8 +264,8 @@ def build_torus(spec: TorusBundleSpec) -> LineBundleGraph:
     index = np.arange(n).reshape(spec.a)
     tails = np.repeat(np.arange(n), spec.d)
     heads = np.stack([np.roll(index, -1, axis=i).ravel() for i in range(spec.d)], axis=1).ravel()
-    weights = np.stack([np.array(spec.weights[i])[coords[i]] for i in range(spec.d)], axis=1).ravel()
-    return LineBundleGraph(n, list(zip(tails.tolist(), heads.tolist(), weights.tolist())))
+    weights = np.stack([spec.weights[i][coords[i]] for i in range(spec.d)], axis=1).ravel()
+    return LineBundleGraph(n, np.stack([tails, heads, weights], axis=1))
 
 
 def laplacian(graph: LineBundleGraph) -> HermitianOperator:
@@ -284,8 +277,7 @@ def laplacian(graph: LineBundleGraph) -> HermitianOperator:
     """
     n = graph.vertex_count
     _refuse_dense(n)
-    t, h, w = np.array(graph.edges, dtype=complex).reshape(-1, 3).T
-    t, h, one = t.real.astype(np.intp), h.real.astype(np.intp), np.ones_like(w)
+    t, h, w, one = graph.tails, graph.heads, graph.weights, np.ones_like(graph.weights)
     m = np.zeros((n, n), dtype=complex)
     rows, cols = np.stack([t, h, h, t], axis=1).ravel(), np.stack([t, h, t, h], axis=1).ravel()
     np.add.at(m, (rows, cols), np.stack([one, one, -w, -w.conj()], axis=1).ravel())
@@ -346,7 +338,7 @@ def _list(value, what: str) -> list:
 
 def _integer(value, what: str) -> int:
     """A JSON number with an integral value, as an int (3.0 is 3; 3.7 is refused, not truncated)."""
-    if not (isinstance(value, (int, float)) and float(value).is_integer()):
+    if not (type(value) in (int, float) and float(value).is_integer()):  # a JSON true is not 1
         raise PreconditionError(f"{what} must be an integer, got {value!r}")
     return int(value)
 
@@ -355,7 +347,7 @@ def _parse_weight(obj) -> complex:
     parts = obj if isinstance(obj, dict) else {"re": obj, "im": 0.0}
     if set(parts) not in ({"re", "im"}, {"angle"}):
         raise PreconditionError(f"weight object must have fields {{re, im}} or {{angle}}, got {sorted(parts)}")
-    if not all(isinstance(x, (int, float)) for x in parts.values()):
+    if not all(type(x) in (int, float) for x in parts.values()):  # nor a bool
         raise PreconditionError(f"cannot parse weight from {obj!r}")
     if "angle" in parts:
         return cmath.exp(2j * math.pi * float(parts["angle"]))

@@ -178,7 +178,7 @@ def enumerate_crsfs(graph: LineBundleGraph) -> Iterator[CRSF]:
     n = graph.vertex_count
     endpoints = graph.edge_endpoints
     walk = _walk(n, endpoints)
-    weights = [w for _, _, w in graph.edges]
+    weights = graph.weights.tolist()
     cycles = []
     for row in walk.incidence:
         steps, vertices = _oriented_cycle(endpoints, [(e, int(x)) for e, x in enumerate(row) if x])
@@ -215,6 +215,6 @@ def kenyon_sum(graph: LineBundleGraph) -> float:
     sum runs over the distinct cycle sets, each weighted by its forest count.
     """
     walk = _walk(graph.vertex_count, graph.edge_endpoints)
-    phases = np.array([math.atan2(w.imag, w.real) for _, _, w in graph.edges])
+    phases = np.array([math.atan2(w.imag, w.real) for w in graph.weights.tolist()])
     factor = np.append(2.0 - 2.0 * np.cos(walk.incidence @ phases), 1.0)
     return float(walk.counts @ factor[walk.sets].prod(axis=1))

@@ -13,7 +13,6 @@ from bundlezeta.bundle_graph import (
     HermitianOperator,
     LineBundleGraph,
     TorusBundleSpec,
-    UnitWeight,
     build_torus,
     laplacian,
     line_spectrum,
@@ -38,15 +37,6 @@ def random_spec(rng, d, a):
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
-
-
-def test_unit_weight_validation():
-    UnitWeight(1.0)
-    UnitWeight(unit(0.3))
-    with pytest.raises(PreconditionError):
-        UnitWeight(1.0 + 1e-6)
-    with pytest.raises(PreconditionError):
-        UnitWeight(0.0)
 
 
 def test_build_three_cycle_with_twist():
@@ -181,7 +171,6 @@ def test_spec_rows_accept_complex_unit_weight_real_and_numpy_input():
     expected = [1 + 0j, -1 + 0j, 1 + 0j]
     for row in (
         [1 + 0j, -1 + 0j, 1 + 0j],
-        [UnitWeight(1), UnitWeight(-1.0), UnitWeight(1)],
         [1, -1.0, 1],
         np.array([1, -1, 1], dtype=complex),
         np.array([1.0, -1.0, 1.0]),
@@ -243,8 +232,40 @@ def test_laplacian_2x2_half_twists_det_256():
 
 
 def test_laplacian_rejects_nonunit_weight():
-    with pytest.raises(PreconditionError):
-        LineBundleGraph(2, [(0, 1, 0.5), (1, 0, 1.0)])
+    for w in (0.5, 1.0 + 1e-6, 0.0):
+        with pytest.raises(PreconditionError, match="is not unit modulus"):
+            LineBundleGraph(2, [(0, 1, w), (1, 0, 1.0)])
+
+
+def test_nan_weight_refused():
+    # NaN fails every comparison, so the check asks "within tolerance?", not "beyond it?"
+    message = "edge weight (nan+0j) is not unit modulus (| |w|-1 | = nan)"
+    for position in (0, 3, 6):
+        row = [unit(0.1 * j) for j in range(7)]
+        row[position] = math.nan
+        with pytest.raises(PreconditionError) as refused:
+            TorusBundleSpec(1, (7,), [row])
+        assert str(refused.value) == message
+    with pytest.raises(PreconditionError) as refused:
+        LineBundleGraph(2, [(0, 1, 1.0), (1, 0, math.nan)])
+    assert str(refused.value) == message
+    g = build_torus(TorusBundleSpec.single_twist(1, (3,), (0.3,)))
+    with pytest.raises(PreconditionError) as refused:
+        g.gauge_transformed([1.0, math.nan, 1.0])
+    assert str(refused.value) == message
+
+
+def test_non_integral_edge_ends_refused_not_truncated():
+    for edges in (
+        [(0, 1.5, 1), (1, 2.9, 1)],
+        [(0, 1, 1), (1, 3, 1)],
+        [(0, 1, 1), (-1, 2, 1)],
+        [(0, 1 + 1j, 1), (1, 2, 1)],
+        [(0, math.nan, 1), (1, 2, 1)],
+    ):
+        with pytest.raises(PreconditionError, match=r"needs integral ends in \[0, 3\)"):
+            LineBundleGraph(3, edges)
+    assert LineBundleGraph(3, [(0, 1.0, 1), (1, 2, 1)]).edges == ((0, 1, 1 + 0j), (1, 2, 1 + 0j))
 
 
 def test_disconnected_graph_refused_before_allocating():
@@ -272,6 +293,51 @@ def test_laplacian_is_exactly_hermitian():
     for g in (torus, multigraph):
         m = laplacian(g).entries
         assert np.array_equal(m, m.conj().T)
+
+
+def _cayley_triples(spec):
+    # vertex v (row-major over x) emits its +e_i edge for i = 0..d-1, in that order
+    triples = []
+    for v, x in enumerate(itertools.product(*map(range, spec.a))):
+        for i in range(spec.d):
+            y = list(x)
+            y[i] = (y[i] + 1) % spec.a[i]
+            triples.append((v, int(np.ravel_multi_index(y, spec.a)), complex(spec.weights[i][x[i]])))
+    return triples
+
+
+def _per_edge_assembly(n, triples):
+    # the per-edge layout: one np.add.at per (tail, head, weight) triple, entries (1, 1, -w, -conj w)
+    m = np.zeros((n, n), dtype=complex)
+    for t, h, w in triples:
+        np.add.at(m, ([t, h, h, t], [t, h, t, h]), [1, 1, -w, -w.conjugate()])
+    return m
+
+
+def test_array_layout_matches_per_edge_triples_bit_for_bit():
+    rng = np.random.default_rng(24)
+    sides = [(1,), (2,), (7,), (1, 4), (2, 3), (3, 4), (1, 2, 3), (2, 2, 3), (3, 3, 3)]
+    graphs = []
+    for a in sides:
+        spec = random_spec(rng, len(a), a)
+        g = build_torus(spec)
+        assert g.edges == tuple(_cayley_triples(spec))
+        graphs.append(g)
+    multigraph = [(a, b, unit(rng.uniform(0, 1))) for a, b in [(0, 0), (0, 1), (1, 0), (0, 1), (1, 2), (2, 1), (2, 2)]]
+    table = np.array(multigraph, dtype=complex)
+    graphs.append(LineBundleGraph(3, table))
+    table[:] = 0  # the graph holds its own copy
+    assert graphs[-1].edges == tuple(multigraph)
+    for g in graphs:
+        assert np.array_equal(laplacian(g).entries, _per_edge_assembly(g.vertex_count, g.edges))
+        assert all(type(t) is int and type(h) is int and type(w) is complex for t, h, w in g.edges)
+        assert g.edge_endpoints == tuple((t, h) for t, h, _ in g.edges)
+        assert (g.tails.dtype, g.heads.dtype, g.weights.dtype) == (np.intp, np.intp, np.complex128)
+        for column in (g.tails, g.heads, g.weights):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = column[0]
+    assert graphs[0] == graphs[0] and graphs[0] != LineBundleGraph(1, graphs[0].edges)  # equal edges, another graph
 
 
 def test_laplacian_peak_memory_near_one_matrix():

@@ -417,10 +417,18 @@ _GRAPH_FILE = {"vertices": 2, "edges": [{"tail": 0, "head": 1, "weight": 1.0}, {
         ("detlog", json.dumps({**_TORUS_FILE, "weights": [5]})),
         ("crsf-check", json.dumps({**_GRAPH_FILE, "edges": 5})),
         ("crsf-check", json.dumps({**_GRAPH_FILE, "edges": None})),
+        ("detlog", json.dumps({**_TORUS_FILE, "weights": [[1.0, 1.0, math.nan]]})),
+        ("detlog", json.dumps({**_TORUS_FILE, "weights": [[1.0, 1.0, {"angle": math.nan}]]})),
+        ("crsf-check", json.dumps({**_TORUS_FILE, "weights": [[1.0, 1.0, math.nan]]})),
+        ("crsf-check", json.dumps({**_GRAPH_FILE, "edges": [_GRAPH_FILE["edges"][0], {"tail": 1, "head": 0, "weight": math.nan}]})),
+        ("crsf-check", json.dumps({"dimension": 1, "sides": [True], "weights": [[True]]})),
+        ("crsf-check", json.dumps({"vertices": 2, "edges": [{"tail": False, "head": True, "weight": {"re": True, "im": False}}]})),
+        ("detlog", json.dumps({**_TORUS_FILE, "weights": [[True, 1.0, {"angle": 0.3}]]})),
     ],
     ids=["missing", "not-json", "edge-without-weight", "side-not-a-number", "angle-not-a-number",
          "dimension-1.7", "side-3.7", "vertices-2.7", "sides-a-number", "weights-row-a-number",
-         "edges-a-number", "edges-null"],
+         "edges-a-number", "edges-null", "weight-nan", "angle-nan", "crsf-check-weight-nan",
+         "graph-weight-nan", "torus-booleans", "graph-booleans", "weight-boolean"],
 )
 def test_malformed_spec_file_refused(capsys, tmp_path, command, text):
     path = tmp_path / "spec.json"
