@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .bundle_graph import TorusBundleSpec, _holonomy_of_row, _one_twist_rows, _refuse_above_cap, _refuse_trivial, build_torus, laplacian, line_spectrum, outer_spectrum
-from .errors import PreconditionError
+from .errors import PreconditionError, _count
 from .heat_theta import ContinuousTorusSpec, theta_continuous, theta_discrete, theta_discrete_minus_leading
 from .quadrature import QuadratureSpec, TailRule, _mellin_split, integrate_semi_infinite
 from .special_functions import sin_pi
@@ -46,7 +46,7 @@ from .zeta import (
 
 @dataclass(frozen=True)
 class TorusFamily:
-    """Torus bundles with sides a_i(n) = round(alpha_i n) and continuum limit (alpha, lam).
+    """Torus bundles with sides a_i(n) = round(alpha_i n), n an integer >= 1, and continuum limit (alpha, lam).
 
     The whole holonomy of each direction sits on a single edge, so the
     holonomies stay constant along the family.
@@ -55,7 +55,8 @@ class TorusFamily:
     limit: ContinuousTorusSpec
 
     def spec(self, n: int) -> TorusBundleSpec:
-        sides = tuple(int(round(m * n)) for m in self.limit.alpha)
+        n = _count(n, "family size n")
+        sides = tuple(round(m * n) for m in self.limit.alpha)
         return TorusBundleSpec.single_twist(self.limit.d, sides, self.limit.lam)
 
     @staticmethod
@@ -72,7 +73,7 @@ class ResidualSeries:
 
     @staticmethod
     def fit(ns: Sequence[int], residuals: Sequence[float]) -> "ResidualSeries":
-        ns = tuple(int(n) for n in ns)
+        ns = tuple(_count(n, "a family size") for n in ns)
         res = tuple(float(r) for r in residuals)
         if len(ns) != len(res):
             raise PreconditionError("ns and residuals must align")
@@ -197,7 +198,7 @@ def logdet_correction_integral(spec: TorusBundleSpec, quad: QuadratureSpec | Non
     algebraic route to quadrature accuracy.
     """
     _refuse_trivial(spec)
-    quad = quad or QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9, max_subdivisions=8000)
+    quad = quad or QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9)
     d = spec.d
     # the smallest eigenvalue: the sum of the smallest line eigenvalues
     evs_min = sum(float(line_spectrum(a, lam).min()) for a, lam in zip(spec.a, spec.holonomies))
@@ -269,12 +270,10 @@ def product_formula_check(m: Sequence[int], n: int, z: Sequence[complex]) -> tup
                                      of F_{(n, ..., n)}(u_1, ..., u_d).
 
     Returns (log lhs, log rhs); the identity is exact, so the two must
-    agree to float accumulation error.  The cap bounds the prod(m_i) root
-    tuples as well as the product torus.
+    agree to float accumulation error.  Every m_i and n must be an integer
+    >= 1; the cap bounds the prod(m_i) root tuples as well as the product torus.
     """
-    m = tuple(int(x) for x in m)
-    if any(x < 1 for x in m) or n < 1:
-        raise PreconditionError("m entries and n must be positive integers")
+    m, n = tuple(_count(x, "a multiplier m_i") for x in m), _count(n, "base size n")
     _refuse_above_cap(math.prod(mi * n for mi in m), "product-torus vertices")
 
     lhs = log_f(tuple(mi * n for mi in m), z)

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, _count
 
 UNIT_MODULUS_TOL = 1e-12
 MAX_DENSE_BYTES = 2**28  # one dense complex128 matrix: 256 MiB, so N <= 4096
@@ -41,7 +41,7 @@ MAX_EIGENVALUES = 4_000_000  # largest closed-form spectrum built in memory (32 
 
 @dataclass(frozen=True, eq=False)
 class LineBundleGraph:
-    """Connected multigraph with one stored orientation per unoriented edge.
+    """Connected multigraph on ``vertex_count`` (an integer >= 1) vertices, one stored orientation per unoriented edge.
 
     Edge k runs ``tails[k] -> heads[k]`` with weight ``weights[k]``: read-only intp, intp and
     complex128 arrays, copied from ``edges``, anything numpy reads as an (E, 3) complex array of
@@ -54,8 +54,7 @@ class LineBundleGraph:
     weights: np.ndarray
 
     def __init__(self, vertex_count: int, edges: Sequence[tuple[int, int, object]]):
-        if vertex_count < 1:
-            raise PreconditionError("graph needs at least one vertex")
+        vertex_count = _count(vertex_count, "vertex count")
         if len(edges) < vertex_count - 1:  # refused before _connected allocates per vertex
             raise PreconditionError("graph must be connected")
         table = np.array(edges, dtype=complex).reshape(len(edges), 3)
@@ -67,7 +66,7 @@ class LineBundleGraph:
         tails, heads = ends.real.T.astype(np.intp, order="C")
         for column in (tails, heads):
             column.setflags(write=False)
-        object.__setattr__(self, "vertex_count", int(vertex_count))
+        object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "tails", tails)
         object.__setattr__(self, "heads", heads)
         object.__setattr__(self, "weights", _unit_row(table[:, 2]))
@@ -113,7 +112,7 @@ class LineBundleGraph:
 
 @dataclass(frozen=True, eq=False)
 class TorusBundleSpec:
-    """Discrete torus Cayley graph of prod Z/a_i Z with per-edge unit weights.
+    """Discrete torus Cayley graph of prod Z/a_i Z, d and every a_i integers >= 1, with per-edge unit weights.
 
     ``weights[i]`` is a read-only complex128 array of length ``a[i]``, copied
     from the caller's row; ``weights[i][j]`` sits on the oriented edge
@@ -127,7 +126,7 @@ class TorusBundleSpec:
     weights: tuple[np.ndarray, ...]
 
     def __init__(self, d: int, a: Sequence[int], weights: Sequence[Sequence[object]]):
-        a = _sides(d, a)
+        d, a = _sides(d, a)
         if len(weights) != d:
             raise PreconditionError("need one weight list per direction")
         for i, (ai, row) in enumerate(zip(a, weights)):
@@ -159,15 +158,13 @@ class TorusBundleSpec:
         return math.prod(self.a)
 
 
-def _sides(d: int, a: Sequence[int]) -> tuple[int, ...]:
-    """The d side lengths as ints, once each is >= 1 and their sum, the edge-weight count, is within the cap."""
-    if d < 1:
-        raise PreconditionError("dimension must be >= 1")
-    a = tuple(int(x) for x in a)
-    if len(a) != d or any(x < 1 for x in a):
-        raise PreconditionError("need d positive side lengths")
+def _sides(d: int, a: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """d and the d sides as ints, once each is an integer >= 1 and the sides' sum, the edge-weight count, is within the cap."""
+    d, a = _count(d, "dimension"), tuple(_count(x, "a side") for x in a)
+    if len(a) != d:
+        raise PreconditionError(f"need {d} side lengths, got {len(a)}")
     _refuse_above_cap(sum(a), "edge weights")
-    return a
+    return d, a
 
 
 def _unit_row(row: Sequence[object]) -> np.ndarray:
@@ -183,7 +180,7 @@ def _unit_row(row: Sequence[object]) -> np.ndarray:
 
 def _one_twist_rows(d: int, a: Sequence[int], twists: Sequence[object]) -> list[np.ndarray]:
     """Per direction, a_i trivial weights but the last, which is twists[i]."""
-    return [np.append(np.ones(ai - 1, dtype=complex), complex(w)) for ai, w in zip(_sides(d, a), twists)]
+    return [np.append(np.ones(ai - 1, dtype=complex), complex(w)) for ai, w in zip(_sides(d, a)[1], twists)]
 
 
 def _refuse_trivial(spec) -> None:
@@ -336,13 +333,6 @@ def _list(value, what: str) -> list:
     return value
 
 
-def _integer(value, what: str) -> int:
-    """A JSON number with an integral value, as an int (3.0 is 3; 3.7 is refused, not truncated)."""
-    if not (type(value) in (int, float) and float(value).is_integer()):  # a JSON true is not 1
-        raise PreconditionError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _parse_weight(obj) -> complex:
     parts = obj if isinstance(obj, dict) else {"re": obj, "im": 0.0}
     if set(parts) not in ({"re", "im"}, {"angle"}):
@@ -356,9 +346,8 @@ def _parse_weight(obj) -> complex:
 
 def parse_torus_spec(data: dict) -> TorusBundleSpec:
     data = _fields(data, {"dimension", "sides", "weights"}, "torus spec")
-    sides = [_integer(x, "a side") for x in _list(data["sides"], "sides")]
     weights = [[_parse_weight(w) for w in _list(row, "a weights row")] for row in _list(data["weights"], "weights")]
-    return TorusBundleSpec(_integer(data["dimension"], "dimension"), sides, weights)
+    return TorusBundleSpec(data["dimension"], _list(data["sides"], "sides"), weights)
 
 
 def parse_graph_spec(data: dict) -> LineBundleGraph:
@@ -366,8 +355,9 @@ def parse_graph_spec(data: dict) -> LineBundleGraph:
     edges = []
     for e in _list(data["edges"], "edges"):
         e = _fields(e, {"tail", "head", "weight"}, "edge")
-        edges.append((_integer(e["tail"], "tail"), _integer(e["head"], "head"), _parse_weight(e["weight"])))
-    return LineBundleGraph(_integer(data["vertices"], "vertices"), edges)
+        # a bool end is refused here: packed into the complex edge table it reads as 0 or 1
+        edges.append((_count(e["tail"], "tail", 0), _count(e["head"], "head", 0), _parse_weight(e["weight"])))
+    return LineBundleGraph(data["vertices"], edges)
 
 
 def load_spec_file(path) -> TorusBundleSpec | LineBundleGraph:

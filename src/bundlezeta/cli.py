@@ -86,7 +86,7 @@ _FLAGS = {
 def _quad(args) -> QuadratureSpec | None:
     if args.tol is None:
         return None
-    return QuadratureSpec(abs_tol=args.tol, rel_tol=args.tol, max_subdivisions=8000)
+    return QuadratureSpec(abs_tol=args.tol, rel_tol=args.tol)
 
 
 def _torus(args) -> TorusBundleSpec:

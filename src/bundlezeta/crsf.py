@@ -11,7 +11,7 @@ reversal swaps w and 1/w, leaving each factor unchanged).
 
 Forests come from a pruned backtracking walk over the edges (``_walk``),
 cached per graph shape; a weighted sum is then one vectorized pass over
-the distinct cycles and cycle sets.  The default cap of 24 edges is the
+the distinct cycles and cycle sets.  The cap of 24 edges is the
 3x4 torus: 1,044,493 forests, about 3 s and 25 MB for the first walk on a
 2-core VM (3x3: about 0.1 s), then well under a millisecond per weighting.
 """
@@ -29,7 +29,7 @@ import numpy as np
 from .bundle_graph import LineBundleGraph
 from .errors import PreconditionError
 
-DEFAULT_EDGE_CAP = 24
+EDGE_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -65,13 +65,13 @@ def _walk(n_vertices: int, endpoints: tuple[tuple[int, int], ...]) -> _Walk:
     inside a component closes the cycle 4^e + pot[a] - pot[b], one key per
     cycle since e is its highest edge.  Branches are cut when fewer edges
     remain than acyclic components or an acyclic component has no later edge.
-    Refuses above ``DEFAULT_EDGE_CAP`` edges before walking.
+    Refuses above ``EDGE_CAP`` edges before walking.
     """
     m = len(endpoints)
-    if m > DEFAULT_EDGE_CAP:
+    if m > EDGE_CAP:
         raise PreconditionError(
             f"graph has {m} edges, above the enumeration cap "
-            f"{DEFAULT_EDGE_CAP}; refusing CRSF enumeration"
+            f"{EDGE_CAP}; refusing CRSF enumeration"
         )
     power = [4**e for e in range(m)]
     root = list(range(n_vertices))

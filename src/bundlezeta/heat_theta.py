@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .bundle_graph import TorusBundleSpec, _refuse_above_cap, line_spectrum
-from .errors import PreconditionError, SeriesTruncationError
+from .errors import PreconditionError, SeriesTruncationError, _count
 from .special_functions import bessel_i_complex, bessel_i_scaled, bessel_i_scaled_many
 
 _PROGRESSION_TERM_CAP = 400
@@ -121,7 +121,7 @@ def _prefixed_columns(spec: TorusBundleSpec, t: float) -> list[np.ndarray]:
 
 
 def heat_kernel(spec: TorusBundleSpec, t: float, x: Sequence[int]) -> complex:
-    """Heat kernel K(t, x) of the bundle Laplacian, x reduced mod the torus.
+    """Heat kernel K(t, x) of the bundle Laplacian, x an integer point reduced mod the torus.
 
     One cycle factor per direction: from t = a^2 / 8 the spectral form,
     exact to rounding; below it the Bessel form, whose dropped orders stay
@@ -132,7 +132,7 @@ def heat_kernel(spec: TorusBundleSpec, t: float, x: Sequence[int]) -> complex:
         raise PreconditionError("lattice point has wrong dimension")
     value = 1.0 + 0.0j
     for col, a, c in zip(_prefixed_columns(spec, t), spec.a, x):
-        value *= col[int(c) % a]
+        value *= col[_count(c, "a lattice point coordinate", -math.inf) % a]
     return complex(value)
 
 
@@ -155,10 +155,9 @@ def bessel_progression_sides(n: int, z: complex, t: complex) -> tuple[complex, c
                       = (1/n) sum_j exp((z/2)(e^{2 pi i j/n}/t + t e^{-2 pi i j/n})).
 
     Returns (series side, circulant side); the series is truncated when the
-    certified factorial decay leaves a tail below 1e-15 of the sum.
+    certified factorial decay leaves a tail below 1e-15 of the sum.  n must be an integer >= 1.
     """
-    if n < 1:
-        raise PreconditionError("progression step n must be >= 1")
+    n = _count(n, "progression step n")
     if t == 0:
         raise PreconditionError("t must be nonzero")
     z = complex(z)

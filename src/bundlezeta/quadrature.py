@@ -21,7 +21,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .errors import PreconditionError, QuadratureError
+from .errors import PreconditionError, QuadratureError, _count
 
 # 15-point Kronrod nodes on [-1, 1] (nonnegative half; symmetric).
 _XGK = (
@@ -60,13 +60,12 @@ class QuadratureSpec:
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
-    max_subdivisions: int = 4000
+    max_subdivisions: int = 8000
 
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise PreconditionError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise PreconditionError("max_subdivisions must be >= 1")
+        _count(self.max_subdivisions, "max_subdivisions")
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .errors import PreconditionError, SeriesTruncationError
+from .errors import PreconditionError, SeriesTruncationError, _count
 
 # B_2, B_4, ..., B_24 as exact fractions evaluated in double precision.
 _BERNOULLI_EVEN = (
@@ -186,9 +186,7 @@ def _bessel_miller_scaled(nmax: int, x: float) -> np.ndarray:
 
 def _bessel_order(order: int, x: float) -> int:
     """The order as an int, once it is an integer >= 0 and x is finite and >= 0."""
-    n = int(order)
-    if n != order or n < 0:
-        raise PreconditionError(f"order must be a nonnegative integer, got {order}")
+    n = _count(order, "order", 0)
     if not 0.0 <= x < math.inf:
         raise PreconditionError(f"argument must be finite and >= 0, got {x}")
     return n
@@ -232,8 +230,8 @@ def bessel_i_scaled_many(max_order: int, x: float) -> np.ndarray:
 
 
 def bessel_i_complex(order: int, z: complex) -> complex:
-    """Unscaled I_order(z) for complex z by power series (|z| <= 60)."""
-    n = abs(int(order))
+    """Unscaled I_order(z) for integer order >= 0 and complex z by power series (|z| <= 60)."""
+    n = _count(order, "order", 0)
     z = complex(z)
     if abs(z) > 60.0:
         raise PreconditionError(
@@ -331,7 +329,7 @@ def reciprocal_gamma(s: float) -> float:
 
 
 def hurwitz_zeta(s: float, a: float) -> float:
-    """Hurwitz zeta(s, a) for real s >= -2, s != 1, and a > 0 (Euler-Maclaurin).
+    """Hurwitz zeta(s, a) for real s >= -2, s != 1, and finite a > 0 (Euler-Maclaurin).
 
     Measured against 40-digit mpmath for a in [0.01, 65]: for s in
     [0.25, 8] the error is within 1e-14 relative, or 5e-15 absolute where
@@ -348,8 +346,8 @@ def hurwitz_zeta(s: float, a: float) -> float:
         raise PreconditionError("hurwitz_zeta has a pole at s = 1")
     if not s >= -2.0:
         raise PreconditionError(f"hurwitz_zeta is refused below s = -2 (its error grows to 1.2e-4 at s = -6), got s = {s}")
-    if not a > 0:
-        raise PreconditionError(f"hurwitz_zeta requires a > 0, got {a}")
+    if not 0 < a < math.inf:
+        raise PreconditionError(f"hurwitz_zeta requires a finite a > 0, got {a}")
     # keep the shifted argument just large enough for the Bernoulli tail;
     # a smaller explicit sum limits cancellation when s <= 0
     n_terms = max(0, int(math.ceil(max(14.0, 1.6 * abs(s) + 8.0) - a)))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundle_graph import TorusBundleSpec, _refuse_trivial, torus_eigenvalues
-from .errors import PreconditionError
+from .errors import PreconditionError, _count
 from .heat_theta import ContinuousTorusSpec, theta_continuous, theta_continuous_minus_leading
 from .quadrature import QuadratureSpec, TailRule, _mellin_split, integrate_semi_infinite
 from .special_functions import _bessel_k, bessel_i0_scaled_ratio_minus_one, bessel_i_scaled, hurwitz_zeta
@@ -75,7 +75,7 @@ def _scaled_i0_power_minus_leading(d: int, t: float) -> float:
 
 
 def lattice_constant(d: int, quad: QuadratureSpec | None = None) -> float:
-    """The per-vertex log-determinant constant
+    """The per-vertex log-determinant constant in integer dimension d in 1..10,
 
         - integral over (0, inf) of ((e^{-2dt} I_0(2t)^d - e^{-t}) / t) dt.
 
@@ -87,12 +87,12 @@ def lattice_constant(d: int, quad: QuadratureSpec | None = None) -> float:
 
 
 def lattice_constant_eval(d: int, quad: QuadratureSpec | None = None) -> tuple[float, float]:
-    if not 1 <= d <= 10:
+    if (d := _count(d, "dimension")) > 10:
         raise PreconditionError(f"dimension must be in 1..10, got {d}")
     if d == 1:
         # c_1 = int_0^1 log(4 sin^2 pi x) dx = 0 exactly; quadrature would leave ~1e-16
         return 0.0, 0.0
-    quad = quad or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11, max_subdivisions=8000)
+    quad = quad or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
 
     def integrand(t: float) -> float:
         if t < 0.5:
@@ -225,7 +225,7 @@ def epstein_hurwitz_zeta(
     if method not in ("auto", "integral_split"):
         raise PreconditionError(f"unknown method {method!r} for epstein_hurwitz_zeta")
 
-    quad = quad or QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10, max_subdivisions=8000)
+    quad = quad or QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
     rg = reciprocal_gamma(s)
     bracket, err = _eh_bracket(s, spec, quad)
     return ZetaEvaluation(rg * bracket, abs(rg) * err, "integral_split")
@@ -260,7 +260,7 @@ def epstein_hurwitz_deriv0(spec: ContinuousTorusSpec, quad: QuadratureSpec | Non
     -(2/d) prod(alpha) (4 pi t0)^{-d/2}.  ``_chowla_selberg`` (``kronecker_deriv0`` in d = 2) is the second route.
     """
     _refuse_trivial(spec)
-    quad = quad or QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11, max_subdivisions=8000)
+    quad = quad or QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11)
     value, err = _eh_bracket(0.0, spec, quad)
     return ZetaEvaluation(value, err, "poisson_dual")
 
@@ -303,32 +303,30 @@ def _rectified_unit_integrand(f, beta: float):
 
 
 def lattice_zeta(s: float, d: int, quad: QuadratureSpec | None = None) -> ZetaEvaluation:
-    """Spectral zeta of the integer lattice in dimension d.
+    """Spectral zeta of the integer lattice in integer dimension d >= 1.
 
     Implemented continuation window: -1 < s < d/2 + 1 with the pole at
     s = d/2 excluded (split at t = 1 and one subtracted asymptotic term of
     the Bessel integrand on the tail).  s = 0 returns the exact value 1.
     """
-    if d < 1:
-        raise PreconditionError("dimension must be >= 1")
+    d = _count(d, "dimension")
     if s == 0.5 * d:
         raise PreconditionError(f"pole at s = d/2 = {0.5 * d}")
     if not (-1.0 < s < 0.5 * d + 1.0):
         raise PreconditionError(f"s = {s} outside the implemented continuation window (-1, {0.5 * d + 1.0}) for d = {d}")
     if s == 0.0:
         return ZetaEvaluation(1.0, 0.0, "integral_split")
-    quad = quad or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10, max_subdivisions=8000)
+    quad = quad or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10)
     bracket, err = _lattice_bracket(s, d, quad)
     rg = reciprocal_gamma(s)
     return ZetaEvaluation(rg * (bracket + 1.0 / s), abs(rg) * err, "integral_split")
 
 
 def lattice_zeta_deriv0(d: int, quad: QuadratureSpec | None = None) -> ZetaEvaluation:
-    """d/ds at 0 of the lattice zeta: Euler's gamma plus the split bracket of
+    """d/ds at 0 of the lattice zeta (integer d >= 1): Euler's gamma plus the split bracket of
     ``lattice_zeta`` at s = 0 less its 1/s term; equals minus the lattice constant."""
-    if d < 1:
-        raise PreconditionError("dimension must be >= 1")
-    quad = quad or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11, max_subdivisions=8000)
+    d = _count(d, "dimension")
+    quad = quad or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
     bracket, err = _lattice_bracket(0.0, d, quad)
     return ZetaEvaluation(EULER_GAMMA + bracket, err, "integral_split")
 

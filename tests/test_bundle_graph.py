@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bundlezeta import bundle_graph
-from bundlezeta.asymptotics import log_det_lu
+from bundlezeta.asymptotics import ResidualSeries, TorusFamily, log_det_lu, log_f, product_formula_check
 from bundlezeta.bundle_graph import (
     HermitianOperator,
     LineBundleGraph,
@@ -23,6 +23,7 @@ from bundlezeta.bundle_graph import (
 )
 from bundlezeta.errors import PreconditionError
 from bundlezeta.special_functions import sin_pi
+from bundlezeta.zeta import lattice_zeta
 
 
 def unit(turns):
@@ -266,6 +267,38 @@ def test_non_integral_edge_ends_refused_not_truncated():
         with pytest.raises(PreconditionError, match=r"needs integral ends in \[0, 3\)"):
             LineBundleGraph(3, edges)
     assert LineBundleGraph(3, [(0, 1.0, 1), (1, 2, 1)]).edges == ((0, 1, 1 + 0j), (1, 2, 1 + 0j))
+
+
+def test_non_integral_sizes_refused_not_truncated():
+    # each of these once ran on a truncated size (3.7 -> 3, 2.7 -> 2, 4.9 -> 4, 8.6 -> 9) or ended in a TypeError
+    cases = [
+        lambda: TorusBundleSpec(1, (3.7,), [[1.0] * 3]),
+        lambda: TorusBundleSpec(True, (3,), [[1.0] * 3]),
+        lambda: TorusBundleSpec(1, (math.nan,), [[1.0] * 3]),
+        lambda: LineBundleGraph(2.7, [(0, 1, 1.0)]),
+        lambda: LineBundleGraph(True, [(0, 0, 1.0)]),
+        lambda: TorusBundleSpec.single_twist(2, (4, 4.9), (0.3, 0.6)),
+        lambda: log_f((4, 4.5), (1j, -1)),
+        lambda: product_formula_check((2, 2), 2.5, (1j, -1)),
+        lambda: product_formula_check((2, 1.5), 2, (1j, -1)),
+        lambda: TorusFamily.from_multipliers((1.0,), (0.3,)).spec(8.6),
+        lambda: ResidualSeries.fit((32.5, 64), (0.1, 0.2)),
+        lambda: parse_torus_spec({"dimension": "1", "sides": [3], "weights": [[1, 1, 1]]}),
+    ]
+    for case in cases:
+        with pytest.raises(PreconditionError, match="must be an integer"):
+            case()
+    # an integral value of any number type is that integer, bit for bit
+    row, edges = [1.0, 1.0, unit(0.3)], [(0, 1, 1.0), (1, 2, unit(0.3)), (2, 0, 1.0)]
+    spec, graph, zeta = TorusBundleSpec(1, (3,), [row]), LineBundleGraph(3, edges), lattice_zeta(0.5, 3)
+    for three in (3.0, np.int64(3), np.float64(3.0)):
+        other = TorusBundleSpec(three // 3, (three,), [row])
+        assert (other.d, other.a) == (1, (3,)) and type(other.d) is type(other.a[0]) is int
+        assert torus_eigenvalues(other).tobytes() == torus_eigenvalues(spec).tobytes()
+        other = LineBundleGraph(three, edges)
+        assert type(other.vertex_count) is int
+        assert laplacian(other).entries.tobytes() == laplacian(graph).entries.tobytes()
+        assert lattice_zeta(0.5, three) == zeta
 
 
 def test_disconnected_graph_refused_before_allocating():

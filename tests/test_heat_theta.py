@@ -97,6 +97,10 @@ def test_heat_kernel_rejects_point_of_wrong_dimension():
     for x in [(1, 2), ()]:
         with pytest.raises(PreconditionError, match="wrong dimension"):
             heat_kernel(spec, 1.0, x)
+    for x in [(1.5,), (True,), (math.nan,)]:  # (1.5,) once returned K(1, 1)
+        with pytest.raises(PreconditionError, match="must be an integer"):
+            heat_kernel(spec, 1.0, x)
+    assert heat_kernel(spec, 1.0, (-4.0,)) == heat_kernel(spec, 1.0, (1,))
 
 
 def test_heat_kernel_large_time_against_mpmath():
@@ -191,6 +195,8 @@ def test_progression_rejects_degenerate_input():
         bessel_progression_sides(0, 1.0, 1.0)
     with pytest.raises(PreconditionError):
         bessel_progression_sides(2, 1.0, 0.0)
+    with pytest.raises(PreconditionError):
+        bessel_progression_sides(2.5, 1, 1)  # once a TypeError from range(2.5)
 
 
 # ---------------------------------------------------------------------------

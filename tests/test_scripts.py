@@ -26,10 +26,14 @@ def test_script_runs_and_prints_csv(script, args, header):
 
 
 def run_script(script, args, timeout):
+    return run_python([str(REPO / "scripts" / script), *args], timeout)
+
+
+def run_python(argv, timeout):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / script), *args],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env=env,
@@ -37,6 +41,19 @@ def run_script(script, args, timeout):
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
+
+
+def test_runtime_imports_only_numpy_and_the_standard_library():
+    # mpmath, scipy and networkx serve the tests as oracles: a stray import of one in the package would pass
+    # every other test where they are installed, and add to the start-up time of every command
+    probe = (
+        "import sys; before = set(sys.modules); import bundlezeta, bundlezeta.cli; "
+        "print(*sorted({name.partition('.')[0] for name in set(sys.modules) - before}))"
+    )
+    (line,) = run_python(["-c", probe], timeout=60)
+    new = set(line.split())
+    assert {"numpy", "bundlezeta"} <= new
+    assert new - {"numpy", "bundlezeta"} - sys.stdlib_module_names == set()
 
 
 def test_kronecker_grid_at_extreme_aspect_ratios():

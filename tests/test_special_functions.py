@@ -117,9 +117,15 @@ def test_bessel_rejects_bad_input():
         bessel_i_scaled(0, -1.0)
     with pytest.raises(PreconditionError):
         bessel_i_scaled(10**6 + 1, 1.0)
+    for order in (True, 2.5, math.nan, "2"):
+        with pytest.raises(PreconditionError, match="order must be an integer"):
+            bessel_i_scaled(order, 1.0)
+    for order in (2.7, -1, True):  # once abs(int(order)): I_2, I_1, I_1
+        with pytest.raises(PreconditionError, match="order must be"):
+            bessel_i_complex(order, 1.0)
 
 
-@pytest.mark.parametrize("max_order, x", [(5, math.inf), (5, math.nan), (5, -1.0), (5.5, 1.0), (-1, 1.0)])
+@pytest.mark.parametrize("max_order, x", [(5, math.inf), (5, math.nan), (5, -1.0), (5.5, 1.0), (-1, 1.0), (True, 1.0), (math.inf, 1.0)])
 def test_bessel_many_rejects_bad_input(max_order, x):
     # the guard of bessel_i_scaled: an integer order >= 0 and a finite argument >= 0
     with pytest.raises(PreconditionError):
@@ -262,6 +268,8 @@ def test_hurwitz_zeta_pole_refused():
         hurwitz_zeta(1.0, 0.5)
     with pytest.raises(PreconditionError):
         hurwitz_zeta(2.0, 0.0)
+    with pytest.raises(PreconditionError):
+        hurwitz_zeta(2.0, math.inf)  # once an OverflowError from math.ceil
 
 
 @pytest.mark.parametrize("s", [-2.5, -6.0, math.nan])

@@ -57,6 +57,11 @@ def test_lattice_constant_rejects_bad_dimension():
         lattice_constant(0)
     with pytest.raises(PreconditionError):
         lattice_constant(11)
+    # not truncated: lattice_zeta(0.5, 2.5) once returned the d = 2 value, lattice_constant(True) the d = 1 one
+    for refused in (lambda: lattice_constant(True), lambda: lattice_constant(2.5), lambda: lattice_zeta(0.5, 2.5),
+                    lambda: lattice_zeta_deriv0(math.nan), lambda: lattice_zeta_deriv0(0)):
+        with pytest.raises(PreconditionError):
+            refused()
 
 
 # ---------------------------------------------------------------------------
