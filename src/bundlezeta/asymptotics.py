@@ -25,7 +25,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -177,18 +176,13 @@ def log_f(sides: Sequence[int], z: Sequence[complex]) -> float:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=16)
-def _cached_lattice_constant(d: int) -> tuple[float, float]:
-    return lattice_constant_eval(d)
-
-
 def logdet_correction(spec: TorusBundleSpec) -> float:
     """log det minus (number of vertices) times the lattice constant."""
-    c_d, _ = _cached_lattice_constant(spec.d)
+    c_d, _ = lattice_constant_eval(spec.d)
     return log_det(spec) - spec.vertex_count * c_d
 
 
-def logdet_correction_integral(spec: TorusBundleSpec, quad: QuadratureSpec | None = None) -> float:
+def logdet_correction_integral(spec: TorusBundleSpec) -> float:
     """The same correction from its defining heat-trace integral
 
         - int_0^inf (theta(t) - N (e^{-2t} I_0(2t))^d) dt/t,   N = prod a_i,
@@ -198,7 +192,7 @@ def logdet_correction_integral(spec: TorusBundleSpec, quad: QuadratureSpec | Non
     algebraic route to quadrature accuracy.
     """
     _refuse_trivial(spec)
-    quad = quad or QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9)
+    quad = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9)
     d = spec.d
     # the smallest eigenvalue: the sum of the smallest line eigenvalues
     evs_min = sum(float(line_spectrum(a, lam).min()) for a, lam in zip(spec.a, spec.holonomies))
@@ -224,7 +218,7 @@ def logdet_correction_integral(spec: TorusBundleSpec, quad: QuadratureSpec | Non
 def logdet_limit_residuals(family: TorusFamily, ns: Sequence[int]) -> ResidualSeries:
     """r(n) = log det - N(n) c_d + zeta_EH'(0) for the family's limit."""
     deriv0 = epstein_hurwitz_deriv0(family.limit).value  # refuses a limit with only trivial holonomies
-    c_d, _ = _cached_lattice_constant(family.limit.d)
+    c_d, _ = lattice_constant_eval(family.limit.d)
     residuals = []
     for n in ns:
         spec = family.spec(n)
@@ -243,7 +237,7 @@ def zeta_limit_residuals(family: TorusFamily, s: float, ns: Sequence[int]) -> Re
             f"implemented residual window is 0 < s < d/2; got s = {s} for d = {d}"
         )
     lattice = lattice_zeta(s, d).value
-    continuum = epstein_hurwitz_zeta(s, family.limit, method="integral_split").value
+    continuum = epstein_hurwitz_zeta(s, family.limit).value
     residuals = []
     for n in ns:
         spec = family.spec(n)

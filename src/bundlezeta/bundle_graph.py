@@ -288,6 +288,7 @@ def line_spectrum(a: int, lam: float) -> np.ndarray:
     value agrees with ``4 * sin_pi((j + lam) / a) ** 2`` to 1 ulp and the
     small eigenvalues keep full relative accuracy.
     """
+    a = _count(a, "side")
     x = (np.arange(a, dtype=float) + lam) / a
     return 4.0 * np.sin(np.pi * (x - np.rint(x))) ** 2
 

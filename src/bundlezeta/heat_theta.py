@@ -158,10 +158,10 @@ def bessel_progression_sides(n: int, z: complex, t: complex) -> tuple[complex, c
     certified factorial decay leaves a tail below 1e-15 of the sum.  n must be an integer >= 1.
     """
     n = _count(n, "progression step n")
-    if t == 0:
-        raise PreconditionError("t must be nonzero")
     z = complex(z)
     t = complex(t)
+    if not 0 < abs(t) < math.inf:
+        raise PreconditionError(f"t must be finite and nonzero, got {t}")
 
     lhs = bessel_i_complex(0, z)
     scale = abs(lhs)

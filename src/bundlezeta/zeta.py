@@ -27,8 +27,8 @@ from .bundle_graph import TorusBundleSpec, _refuse_trivial, torus_eigenvalues
 from .errors import PreconditionError, _count
 from .heat_theta import ContinuousTorusSpec, theta_continuous, theta_continuous_minus_leading
 from .quadrature import QuadratureSpec, TailRule, _mellin_split, integrate_semi_infinite
-from .special_functions import _bessel_k, bessel_i0_scaled_ratio_minus_one, bessel_i_scaled, hurwitz_zeta
-from .special_functions import log_bessel_i0_scaled, reciprocal_gamma
+from .special_functions import bessel_i0_scaled_ratio_minus_one, bessel_i_scaled, bessel_k, hurwitz_zeta
+from .special_functions import log_bessel_i0_scaled, reciprocal_gamma, sin_pi
 
 EULER_GAMMA = 0.57721566490153286060651209008240243
 
@@ -74,7 +74,7 @@ def _scaled_i0_power_minus_leading(d: int, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def lattice_constant(d: int, quad: QuadratureSpec | None = None) -> float:
+def lattice_constant(d: int) -> float:
     """The per-vertex log-determinant constant in integer dimension d in 1..10,
 
         - integral over (0, inf) of ((e^{-2dt} I_0(2t)^d - e^{-t}) / t) dt.
@@ -82,7 +82,7 @@ def lattice_constant(d: int, quad: QuadratureSpec | None = None) -> float:
     Known values: 0 in dimension one (returned exactly, with error 0) and
     4G/pi (G Catalan) in dimension two.
     """
-    value, _ = lattice_constant_eval(d, quad)
+    value, _ = lattice_constant_eval(d)
     return value
 
 
@@ -158,7 +158,8 @@ def _chowla_selberg(s: float, b: np.ndarray, lam: np.ndarray, deriv: bool = Fals
       Poisson row has c >= 1; Z leaves out its own corner terms too, unless ``whole``.
     * s = 0, -1/2, -1, -3/2 (d <= 4 at s = 0): every row is a Poisson row, and one with M = 0 a d = 1 sum.  At a
       pole -k of Gamma(s - 1/2), Z_{d-1}(-k) = 0: the lead takes the residue (-1)^k/k! times Z_{d-1}'(-k), and
-      (1/Gamma)'(-j) = (-1)^j j!.  At s = 0 the rows are -log|1 - e^{-2 pi c + 2 pi i lam_p}|^2.
+      (1/Gamma)'(-j) = (-1)^j j!.  At s = 0 the rows are -log|1 - e^{-2 pi c + 2 pi i lam_p}|^2,
+      summed as -log(expm1(-2 pi c)^2 + 4 e^{-2 pi c} sin^2(pi lam_p)), which does not cancel as c and lam_p go to 0.
     """
     i = int(np.argmax(b))
     bp, lp, b, lam = b[i], lam[i], np.delete(b, i), np.delete(lam, i)
@@ -176,8 +177,8 @@ def _chowla_selberg(s: float, b: np.ndarray, lam: np.ndarray, deriv: bool = Fals
     shifts = np.array(np.meshgrid(*axes, indexing="ij")).reshape(len(b), rows)  # the rows' k_i + lam_i
     c = bp * np.sqrt(np.sum((shifts / b[:, None]) ** 2, axis=0))
     if deriv and s == 0.0:
-        q = np.exp(-2.0 * math.pi * c[c <= reach])
-        return total - float(np.sum(np.log1p(q * (q - 2.0 * math.cos(2.0 * math.pi * lp)))))
+        e = -2.0 * math.pi * c[c <= reach]
+        return total - float(np.sum(np.log(np.expm1(e) ** 2 + 4.0 * np.exp(e) * sin_pi(lp) ** 2)))
     if s > 0:
         for u in itertools.product(*((x, 1.0 - x) for x in lam)):  # |k_i + lam_i| on the corner rows
             total += bp ** (2.0 * s) * _line_row(bp * math.hypot(*(np.array(u) / b)), s, lp, whole, reach)
@@ -188,7 +189,7 @@ def _chowla_selberg(s: float, b: np.ndarray, lam: np.ndarray, deriv: bool = Fals
     if (count := np.floor(reach / c).astype(int)).sum() > _MAX_ROW_TERMS:
         raise PreconditionError(f"{count.sum()} Chowla-Selberg Bessel terms, above the cap {_MAX_ROW_TERMS}")
     c, m = np.repeat(c, count), np.arange(1, count.sum() + 1) - np.repeat(np.cumsum(count) - count, count)
-    terms = (m / c) ** (s - 0.5) * _bessel_k(s - 0.5, 2.0 * math.pi * m * c) * np.cos(2.0 * math.pi * m * lp)
+    terms = (m / c) ** (s - 0.5) * bessel_k(s - 0.5, 2.0 * math.pi * m * c) * np.cos(2.0 * math.pi * m * lp)
     return total + 4.0 * math.pi**s * bp ** (2.0 * s) * rg * float(terms.sum())
 
 
@@ -322,12 +323,11 @@ def lattice_zeta(s: float, d: int, quad: QuadratureSpec | None = None) -> ZetaEv
     return ZetaEvaluation(rg * (bracket + 1.0 / s), abs(rg) * err, "integral_split")
 
 
-def lattice_zeta_deriv0(d: int, quad: QuadratureSpec | None = None) -> ZetaEvaluation:
+def lattice_zeta_deriv0(d: int) -> ZetaEvaluation:
     """d/ds at 0 of the lattice zeta (integer d >= 1): Euler's gamma plus the split bracket of
     ``lattice_zeta`` at s = 0 less its 1/s term; equals minus the lattice constant."""
     d = _count(d, "dimension")
-    quad = quad or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
-    bracket, err = _lattice_bracket(0.0, d, quad)
+    bracket, err = _lattice_bracket(0.0, d, QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11))
     return ZetaEvaluation(EULER_GAMMA + bracket, err, "integral_split")
 
 

@@ -284,6 +284,8 @@ def test_non_integral_sizes_refused_not_truncated():
         lambda: TorusFamily.from_multipliers((1.0,), (0.3,)).spec(8.6),
         lambda: ResidualSeries.fit((32.5, 64), (0.1, 0.2)),
         lambda: parse_torus_spec({"dimension": "1", "sides": [3], "weights": [[1, 1, 1]]}),
+        lambda: line_spectrum(2.5, 0.3),  # once three values
+        lambda: line_spectrum(True, 0.3),  # once one
     ]
     for case in cases:
         with pytest.raises(PreconditionError, match="must be an integer"):

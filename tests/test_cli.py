@@ -319,11 +319,20 @@ def test_non_finite_continuum_input_refused(capsys):
         ("asymptotics", "theta-gap", "--d", "1", "--lambda", "0.5", "--ns", "4", "--t", "inf"),
         ("theta", "--alpha", "1", "--lambda", "0.3", "--t-grid", "inf"),
         ("theta", "--alpha", "1", "--lambda", "0.3", "--t-grid", "nan"),
+        ("zeta", "zd", "--d", "2", "--s", "0.5", "--tol", "inf"),  # once exit 0 with error_estimate 0.058
     ):
         code, rep = run_json(capsys, *argv)
         assert code == 2
         assert rep["kind"] == "precondition"
         assert "finite" in rep["error"]
+
+
+def test_non_convergence_exits_3(capsys):
+    # a tolerance no quadrature reaches within its 8000 subdivisions is reported, never returned
+    code, rep = run_json(capsys, "zeta", "eh-deriv0", "--alpha", "1", "--lambda", "0.5", "--tol", "1e-20")
+    assert code == 3
+    assert rep["kind"] == "non-convergence"
+    assert "did not converge after 8000 subdivisions" in rep["error"]
 
 
 # ---------------------------------------------------------------------------

@@ -193,8 +193,9 @@ def test_progression_identity_complex_grid():
 def test_progression_rejects_degenerate_input():
     with pytest.raises(PreconditionError):
         bessel_progression_sides(0, 1.0, 1.0)
-    with pytest.raises(PreconditionError):
-        bessel_progression_sides(2, 1.0, 0.0)
+    for t in (0.0, math.nan, math.inf, complex(1.0, math.nan)):  # NaN once ended in SeriesTruncationError
+        with pytest.raises(PreconditionError):
+            bessel_progression_sides(2, 1.0, t)
     with pytest.raises(PreconditionError):
         bessel_progression_sides(2.5, 1, 1)  # once a TypeError from range(2.5)
 

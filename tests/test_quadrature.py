@@ -85,7 +85,7 @@ def test_lattice_constant_style_integrand_vanishes_in_dimension_one():
     res = integrate_semi_infinite(
         lambda t: (bessel_i_scaled(0, 2.0 * t) - math.exp(-t)) / t,
         0.0,
-        QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10, max_subdivisions=8000),
+        QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10),
         tail=TailRule("power", 1.5),
     )
     assert abs(res.value) <= 1e-8
@@ -101,14 +101,29 @@ def test_self_consistency_under_tolerance_halving():
 
 
 def test_non_convergence_is_reported():
-    spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=3)
-    with pytest.raises(QuadratureError):
+    spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300)  # unreachable: stops at the subdivision cap
+    with pytest.raises(QuadratureError, match="did not converge after 8000 subdivisions"):
         integrate_interval(lambda t: math.sin(50.0 * t) / (1e-4 + abs(t - 0.31)), 0.0, 1.0, spec)
 
 
+def test_stop_rests_on_the_exact_sum_of_live_panel_estimates():
+    # the running error sum drifted below zero: c_3 at tol 1e-18 stopped on -1.0e-16, where its live panels sum
+    # to 2.2e-16, and a divergent integrand read 0.0 +- 0.0; a NaN estimate stopped the loop and read NaN +- NaN
+    from bundlezeta.zeta import lattice_constant_eval
+
+    _, err = lattice_constant_eval(3, QuadratureSpec(abs_tol=1e-18, rel_tol=1e-18))
+    assert 0.0 < err <= 1e-18
+    for f in (lambda t: 1.0 / (1e-300 + abs(t - 0.31)), lambda t: math.nan):
+        with pytest.raises(QuadratureError):
+            integrate_interval(f, 0.0, 1.0, QuadratureSpec(1e-13, 1e-13))
+
+
 def test_bad_inputs_refused():
-    with pytest.raises(PreconditionError):
-        QuadratureSpec(abs_tol=-1.0)
+    for tol in (-1.0, 0.0, math.inf, math.nan):  # an infinite tolerance once let any estimate pass
+        with pytest.raises(PreconditionError):
+            QuadratureSpec(abs_tol=tol)
+        with pytest.raises(PreconditionError):
+            QuadratureSpec(rel_tol=tol)
     with pytest.raises(PreconditionError):
         TailRule("power", 0.5)
     with pytest.raises(PreconditionError):

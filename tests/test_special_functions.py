@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from bundlezeta.errors import PreconditionError
 from bundlezeta.special_functions import (
-    _bessel_k,
     bessel_i_complex,
     bessel_i_scaled,
     bessel_i_scaled_many,
@@ -66,7 +65,6 @@ def test_bessel_generating_function(z):
 
 def test_bessel_branch_consistency():
     from bundlezeta.special_functions import (
-    _bessel_k,
         _bessel_asymptotic_scaled,
         _bessel_debye_scaled,
         _bessel_miller_scaled,
@@ -123,6 +121,9 @@ def test_bessel_rejects_bad_input():
     for order in (2.7, -1, True):  # once abs(int(order)): I_2, I_1, I_1
         with pytest.raises(PreconditionError, match="order must be"):
             bessel_i_complex(order, 1.0)
+    for z in (math.nan, complex(1.0, math.nan), math.inf):  # NaN once gave nan+nanj
+        with pytest.raises(PreconditionError):
+            bessel_i_complex(0, z)
 
 
 @pytest.mark.parametrize("max_order, x", [(5, math.inf), (5, math.nan), (5, -1.0), (5.5, 1.0), (-1, 1.0), (True, 1.0), (math.inf, 1.0)])
@@ -231,7 +232,7 @@ def test_bessel_k_against_mpmath():
     # the docstring's measured range, one vector call per order (one step and grid for all x)
     mpmath = pytest.importorskip("mpmath")
     x = np.array([1.0, 1.3, 2.0, 3.7, 2.0 * math.pi, 10.0, 42.0, 100.0, 300.0, 700.0])
-    for nu in (-0.5, 0.0, 0.5, 1.0, 2.5, 4.5, 7.25, 10.0, 29.5):
+    for nu in (-0.5, 0.0, 0.5, 1.0, 2.5, 4.5, 7.25, 10.0, 29.5, 30.0):
         exact = [float(mpmath.besselk(nu, xi)) for xi in x]
         assert bessel_k(nu, x) == pytest.approx(exact, rel=5e-15, abs=0.0), nu
         for xi, e in zip(x[::3], exact[::3]):
@@ -248,19 +249,29 @@ def test_hurwitz_zeta_against_mpmath_for_the_chowla_selberg_calls(s, a_values):
         assert hurwitz_zeta(s, a) == pytest.approx(exact, rel=9e-16, abs=0.0)
 
 
-def test_unchecked_bessel_k_below_one_against_mpmath():
-    # _bessel_k serves the Chowla-Selberg rows at s <= 0, whose arguments go below 1
+def test_bessel_k_below_one_against_mpmath():
+    # the orders of the Chowla-Selberg rows at s <= 0, whose arguments go below 1: one vector call per order
     mpmath = pytest.importorskip("mpmath")
-    x = np.array([1e-3, 3e-3, 0.01, 0.05, 0.1, 0.3, 0.63, 0.99, 5.0, 44.0])
+    x = np.array([1e-12, 1e-9, 1e-6, 1e-3, 3e-3, 0.01, 0.05, 0.1, 0.3, 0.63, 0.99, 5.0, 44.0, 300.0, 700.0])
     for nu in (-1.0, -1.5, -2.0):
         exact = [float(mpmath.besselk(nu, xi)) for xi in x]
-        assert _bessel_k(nu, x) == pytest.approx(exact, rel=5e-16, abs=0.0), nu
+        assert bessel_k(nu, x) == pytest.approx(exact, rel=5e-16, abs=0.0), nu
 
 
 def test_bessel_k_refuses_small_argument():
-    for bad in (0.99, 0.0, -1.0, math.nan):
+    # outside its grid's domain: x <= 0, NaN or infinite x, a NaN or infinite order, and cosh(nu u) past a double
+    # (nu = 100 at x = 1 once read NaN; at nu = 29.5 one x = 1e-10 once made every entry inf or NaN)
+    for nu, bad in ((0.5, 0.0), (0.5, -1.0), (0.5, math.nan), (0.5, math.inf), (-1.0, 0.0)):
         with pytest.raises(PreconditionError):
-            bessel_k(0.5, np.array([2.0, bad]))
+            bessel_k(nu, np.array([2.0, bad]))
+    for nu, x in ((math.nan, [1.0]), (math.inf, [1.0]), (-math.inf, [2.0]), (100.0, [1.0]), (29.5, [1.0, 1e-10])):
+        with pytest.raises(PreconditionError):
+            bessel_k(nu, np.array(x))
+    # the orders of the rows are accepted where they use them: nu <= 9.5 from x = 2 pi, and nu = -1, -1.5, -2
+    # down to 1e-300, 1e-199 and 1e-149
+    assert np.all(bessel_k(9.5, np.array([2.0 * math.pi, 700.0])) > 0.0)
+    for nu, tiny in ((-1.0, 1e-300), (-1.5, 1e-199), (-2.0, 1e-149)):
+        assert np.all(np.isfinite(bessel_k(nu, np.array([tiny, 1.0, 44.0]))))
 
 
 def test_hurwitz_zeta_pole_refused():
