@@ -296,22 +296,26 @@ def bessel_k(nu: float, x: np.ndarray) -> np.ndarray:
 
     The integrand is analytic in a strip and decays double-exponentially: the step 0.5/sqrt(max x + |nu|)
     leaves a strip error below rounding, and the grid ends at the first node u_end past where x (cosh u - 1)
-    reaches 45 + 8 |nu| at the smallest x.  Refused: a non-finite nu, any x not finite and > 0, and
-    |nu| u_end > 700, where cosh(nu u) would overflow (nu = 100 at x = 1; nu = -2 below x = 1.2e-150).
+    reaches 45 + 8 |nu| at the smallest x; an x where e^{-x} underflows (above ~745) reads 0 and sizes nothing.
+    Refused: a non-finite nu, any x not finite and > 0, and |nu| u_end > 700, where cosh(nu u) would overflow
+    (nu = 100 at x = 1; nu = -2 below x = 1.2e-150).
     Against mpmath, one vector call per order: within 9e-16 relative over x in [1e-12, 700] for nu in
     {-2.5, -2, -1.5, -1, -0.5, 0, 0.5, 2.5}, 1.3e-15 for nu = 9.5 and 15; within 5e-15 over x in [1, 700]
     for nu in [-0.5, 30], and 8e-15 at x = 1 up to nu = 90.
     """
     if not (math.isfinite(nu) and np.all((x > 0.0) & (x < math.inf))):
         raise PreconditionError(f"bessel_k needs a finite order and every argument finite and > 0, got order {nu}")
+    out, live = np.zeros(x.shape), np.exp(-x) > 0.0  # K_nu(x) reads 0 where e^{-x} underflows; the rest size the grid
+    x = x[live]
     h = min(0.2, 0.5 / math.sqrt(x.max(initial=1.0) + abs(nu)))
     steps = math.acosh(1.0 + (45.0 + 8.0 * abs(nu)) / float(x.min(initial=np.inf))) / h  # inf below x ~ 1e-307
     if not (steps < math.inf and abs(nu) * (h * (int(steps) + 1)) <= 700.0):
-        raise PreconditionError(f"bessel_k of order {nu} at x = {x.min():g}: cosh(nu u) overflows on its grid")
+        raise PreconditionError(f"bessel_k of order {nu} at x = {x.min(initial=math.inf):g}: cosh(nu u) overflows on its grid")
     u = h * np.arange(int(steps) + 2)
     u = np.concatenate((-u[:0:-1], u))  # the even integrand over the whole line, halved below
     # x (cosh u - 1) = 2 x sinh^2(u/2), without cancellation at small u
-    return 0.5 * h * (np.exp(-2.0 * x[:, None] * np.sinh(0.5 * u) ** 2) @ np.cosh(nu * u)) * np.exp(-x)
+    out[live] = 0.5 * h * (np.exp(-2.0 * x[:, None] * np.sinh(0.5 * u) ** 2) @ np.cosh(nu * u)) * np.exp(-x)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,16 @@ Two independent routes cross-validate each number:
 
 * ``eigensum``       -- the lattice sum in Chowla-Selberg rows (``_chowla_selberg``): one Poisson
                         recursion in every d, for s >= d/2 + 0.25 and (d <= 4) the derivative at 0,
+                        where it is the production route,
 * ``integral_split`` -- Mellin integrals of theta split at t0, with the (4 pi t)^{-d/2} leading term
                         removed on (0, t0] without cancellation: the analytic continuation, valid for
-                        every s away from the pole at d/2.  The continuum torus splits at theta's own
-                        decay scale (``_eh_bracket``), the integer lattice at 1.
+                        every s away from the pole at d/2, and the fallback where the rows are refused.
+                        The continuum torus splits at theta's own decay scale (``_eh_bracket``), the
+                        integer lattice at 1.
 
-Each derivative at s = 0 is its split bracket at s = 0, where the zeta vanishes, and every bracket is one
-call of ``quadrature._mellin_split``.
+In d = 1 the lattice zeta is the ``closed_form`` Gamma(1 - 2s)/Gamma(1 - s)^2, and its split
+(``_lattice_bracket``) is the cross-check.  Each derivative at s = 0 by the split is its bracket at s = 0,
+where the zeta vanishes, and every bracket is one call of ``quadrature._mellin_split``.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .special_functions import log_bessel_i0_scaled, reciprocal_gamma, sin_pi
 
 EULER_GAMMA = 0.57721566490153286060651209008240243
 
-ZETA_METHODS = ("eigensum", "integral_split", "poisson_dual")
+ZETA_METHODS = ("eigensum", "integral_split", "closed_form")
 
 
 @dataclass(frozen=True)
@@ -164,6 +167,8 @@ def _chowla_selberg(s: float, b: np.ndarray, lam: np.ndarray, deriv: bool = Fals
     i = int(np.argmax(b))
     bp, lp, b, lam = b[i], lam[i], np.delete(b, i), np.delete(lam, i)
     if not len(b) and s < 0:  # the d = 1 sums Z(-1/2) = -B_2/b, Z'(-1) and Z(-3/2) = -B_4/(2 b^3)
+        if s < -1.5:  # no end at Z'(-2), which the derivative at 0 in d >= 5 would need: refused before any row
+            raise PreconditionError(f"no d = 1 Chowla-Selberg end at s = {s}: the rows give the derivative at 0 in d <= 4")
         clausen = -_clausen3(lp) / (math.pi * bp) ** 2 if deriv else -((lp * (1.0 - lp)) ** 2 - 1.0 / 30.0) / (2.0 * bp**3)
         return -bernoulli_b2(lp) / bp if s == -0.5 else clausen
     rg = (-1) ** round(-s) * math.factorial(round(-s)) if deriv else reciprocal_gamma(s)
@@ -193,12 +198,28 @@ def _chowla_selberg(s: float, b: np.ndarray, lam: np.ndarray, deriv: bool = Fals
     return total + 4.0 * math.pi**s * bp ** (2.0 * s) * rg * float(terms.sum())
 
 
-def epstein_hurwitz_zeta(
-    s: float,
-    spec: ContinuousTorusSpec,
-    method: str = "auto",
-    quad: QuadratureSpec | None = None,
-) -> ZetaEvaluation:
+def _rows_or_split(s: float, spec: ContinuousTorusSpec, method: str, quad: QuadratureSpec, deriv: bool) -> ZetaEvaluation:
+    """The route rule of ``epstein_hurwitz_zeta`` and (``deriv``, at s = 0) ``epstein_hurwitz_deriv0``: ``"eigensum"``
+    takes the rows or raises, ``"integral_split"`` the split, and ``"auto"`` the rows unless they are refused (s below
+    d/2 + 0.25, a derivative in d >= 5, rows above the cap), the split then."""
+    if method not in ("auto", "eigensum", "integral_split"):
+        raise PreconditionError(f"unknown method {method!r}")
+    if method != "integral_split":
+        try:
+            if not (deriv or s >= 0.5 * spec.d + 0.25):
+                raise PreconditionError(f"the eigensum route needs s >= d/2 + 0.25, got d = {spec.d}, s = {s}")
+            value = _chowla_selberg(s, np.array(spec.alpha) / (2.0 * math.pi), np.array(spec.lam), deriv, whole=True)
+            nominal = 1e-12 * (1.0 + abs(value)) if deriv else (1e-13 if spec.d == 1 else 1e-12) * abs(value)
+            return ZetaEvaluation(value, nominal, "eigensum")
+        except PreconditionError:
+            if method == "eigensum":
+                raise
+    rg = 1.0 if deriv else reciprocal_gamma(s)
+    bracket, err = _eh_bracket(s, spec, quad)
+    return ZetaEvaluation(rg * bracket, abs(rg) * err, "integral_split")
+
+
+def epstein_hurwitz_zeta(s: float, spec: ContinuousTorusSpec, method: str = "auto", quad: QuadratureSpec | None = None) -> ZetaEvaluation:
     """Continuum spectral zeta  (2 pi)^{-2s} sum_K (sum_i ((k_i+lam_i)/alpha_i)^2)^{-s} (holonomy 1 is stored as 0).
 
     ``method="eigensum"`` (s >= d/2 + 0.25, the choice of ``"auto"`` there unless its rows pass the cap) is
@@ -211,25 +232,9 @@ def epstein_hurwitz_zeta(
     if not -2.0 <= s <= 10.0:
         raise PreconditionError(f"s must be finite and in [-2, 10], got {s}")
     _refuse_trivial(spec)
-    d = spec.d
-    if s == 0.5 * d:
-        raise PreconditionError(f"pole at s = d/2 = {0.5 * d}")
-    if method in ("auto", "eigensum") and s >= 0.5 * d + 0.25:
-        try:
-            value = _chowla_selberg(s, np.array(spec.alpha) / (2.0 * math.pi), np.array(spec.lam), whole=True)
-            return ZetaEvaluation(value, (1e-13 if d == 1 else 1e-12) * abs(value), "eigensum")
-        except PreconditionError:  # rows above the cap (d >= 5 near unit aspect ratios): "auto" splits
-            if method == "eigensum":
-                raise
-    elif method == "eigensum":
-        raise PreconditionError(f"the eigensum route needs s >= d/2 + 0.25, got d = {d}, s = {s}")
-    if method not in ("auto", "integral_split"):
-        raise PreconditionError(f"unknown method {method!r} for epstein_hurwitz_zeta")
-
-    quad = quad or QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
-    rg = reciprocal_gamma(s)
-    bracket, err = _eh_bracket(s, spec, quad)
-    return ZetaEvaluation(rg * bracket, abs(rg) * err, "integral_split")
+    if s == 0.5 * spec.d:
+        raise PreconditionError(f"pole at s = d/2 = {0.5 * spec.d}")
+    return _rows_or_split(s, spec, method, quad or QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10), False)
 
 
 def _eh_bracket(s: float, spec: ContinuousTorusSpec, quad: QuadratureSpec) -> tuple[float, float]:
@@ -256,14 +261,14 @@ def _eh_bracket(s: float, spec: ContinuousTorusSpec, quad: QuadratureSpec) -> tu
     return t0**s * value, t0**s * err
 
 
-def epstein_hurwitz_deriv0(spec: ContinuousTorusSpec, quad: QuadratureSpec | None = None) -> ZetaEvaluation:
-    """d/ds at s = 0 of the continuum spectral zeta: ``_eh_bracket`` at s = 0, where its closed-form term is
-    -(2/d) prod(alpha) (4 pi t0)^{-d/2}.  ``_chowla_selberg`` (``kronecker_deriv0`` in d = 2) is the second route.
+def epstein_hurwitz_deriv0(spec: ContinuousTorusSpec, method: str = "auto", quad: QuadratureSpec | None = None) -> ZetaEvaluation:
+    """d/ds at s = 0 of the continuum spectral zeta.  ``method="eigensum"`` (d <= 4, the choice of ``"auto"`` there
+    unless its rows pass the cap) is ``_chowla_selberg`` at s = 0 (``kronecker_deriv0`` in d = 2), with the nominal,
+    not computed, estimate 1e-12 (1 + |value|); ``"integral_split"`` (``"auto"`` in d >= 5) is ``_eh_bracket`` at
+    s = 0, where its closed-form term is -(2/d) prod(alpha) (4 pi t0)^{-d/2}, and the only route ``quad`` reaches.
     """
     _refuse_trivial(spec)
-    quad = quad or QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11)
-    value, err = _eh_bracket(0.0, spec, quad)
-    return ZetaEvaluation(value, err, "poisson_dual")
+    return _rows_or_split(0.0, spec, method, quad or QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11), True)
 
 
 def kronecker_deriv0(alpha1: float, alpha2: float, lam1: float, lam2: float) -> float:
@@ -307,14 +312,20 @@ def lattice_zeta(s: float, d: int, quad: QuadratureSpec | None = None) -> ZetaEv
     """Spectral zeta of the integer lattice in integer dimension d >= 1.
 
     Implemented continuation window: -1 < s < d/2 + 1 with the pole at
-    s = d/2 excluded (split at t = 1 and one subtracted asymptotic term of
-    the Bessel integrand on the tail).  s = 0 returns the exact value 1.
+    s = d/2 excluded.  In d = 1 it is the closed form Gamma(1 - 2s)/Gamma(1 - s)^2
+    (0 at s = 1, its limit) and ``quad`` is not used; its estimate is a few ulps, 16 ulp
+    of the value (against mpmath it kept 13 ulp over the window).  For d >= 2 it is the
+    split at t = 1 with one subtracted asymptotic term of the Bessel integrand on the
+    tail; s = 0 returns the exact value 1.
     """
     d = _count(d, "dimension")
     if s == 0.5 * d:
         raise PreconditionError(f"pole at s = d/2 = {0.5 * d}")
     if not (-1.0 < s < 0.5 * d + 1.0):
         raise PreconditionError(f"s = {s} outside the implemented continuation window (-1, {0.5 * d + 1.0}) for d = {d}")
+    if d == 1:
+        value = 0.0 if s == 1.0 else math.gamma(1.0 - 2.0 * s) / math.gamma(1.0 - s) ** 2
+        return ZetaEvaluation(value, 16.0 * math.ulp(value), "closed_form")
     if s == 0.0:
         return ZetaEvaluation(1.0, 0.0, "integral_split")
     quad = quad or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10)
@@ -325,8 +336,9 @@ def lattice_zeta(s: float, d: int, quad: QuadratureSpec | None = None) -> ZetaEv
 
 def lattice_zeta_deriv0(d: int) -> ZetaEvaluation:
     """d/ds at 0 of the lattice zeta (integer d >= 1): Euler's gamma plus the split bracket of
-    ``lattice_zeta`` at s = 0 less its 1/s term; equals minus the lattice constant."""
-    d = _count(d, "dimension")
+    ``lattice_zeta`` at s = 0 less its 1/s term; equals minus the lattice constant, so 0 exactly in d = 1."""
+    if (d := _count(d, "dimension")) == 1:
+        return ZetaEvaluation(0.0, 0.0, "closed_form")
     bracket, err = _lattice_bracket(0.0, d, QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11))
     return ZetaEvaluation(EULER_GAMMA + bracket, err, "integral_split")
 

@@ -193,7 +193,7 @@ def test_zeta_eh_long_thin_torus_is_bounded():
 def test_zeta_kronecker_long_thin_torus_is_bounded():
     # rho = 1e-8 once meant ~1e9 factors in the product (minutes)
     rep = _cli_subprocess("zeta", "kronecker", "--alpha", "1e-8,1", "--lambda", "0.3,0.5")
-    integral = epstein_hurwitz_deriv0(ContinuousTorusSpec((1e-8, 1.0), (0.3, 0.5)))
+    integral = epstein_hurwitz_deriv0(ContinuousTorusSpec((1e-8, 1.0), (0.3, 0.5)), method="integral_split")
     assert rep["value"] == pytest.approx(integral.value, rel=1e-12, abs=0.0)
 
 
@@ -329,10 +329,14 @@ def test_non_finite_continuum_input_refused(capsys):
 
 def test_non_convergence_exits_3(capsys):
     # a tolerance no quadrature reaches within its 8000 subdivisions is reported, never returned
-    code, rep = run_json(capsys, "zeta", "eh-deriv0", "--alpha", "1", "--lambda", "0.5", "--tol", "1e-20")
+    code, rep = run_json(capsys, "zeta", "zd", "--d", "2", "--s", "0.5", "--tol", "1e-20")
     assert code == 3
     assert rep["kind"] == "non-convergence"
     assert "did not converge after 8000 subdivisions" in rep["error"]
+    # --tol reaches eh-deriv0 only on the split fallback (d >= 5), and zd only for d >= 2
+    for argv in (("eh-deriv0", "--alpha", "1", "--lambda", "0.5"), ("zd", "--d", "1", "--s", "0.25")):
+        code, rep = run_json(capsys, "zeta", *argv, "--tol", "1e-20")
+        assert (code, rep["result"]["method"]) == (0, "eigensum" if argv[0] == "eh-deriv0" else "closed_form")
 
 
 # ---------------------------------------------------------------------------

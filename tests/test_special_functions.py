@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -256,6 +257,20 @@ def test_bessel_k_below_one_against_mpmath():
     for nu in (-1.0, -1.5, -2.0):
         exact = [float(mpmath.besselk(nu, xi)) for xi in x]
         assert bessel_k(nu, x) == pytest.approx(exact, rel=5e-16, abs=0.0), nu
+
+
+def test_bessel_k_underflowing_argument_does_not_size_the_grid():
+    # e^{-x} underflows at x = 1e10, which once sized the step alone: 0.1 s for a grid of ~5e5 nodes
+    x = np.array([1.0, 1e10])
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        k = bessel_k(0.5, x)
+        best = min(best, time.perf_counter() - start)
+    assert k[0] == bessel_k(0.5, np.array([1.0]))[0]
+    assert k[0] == pytest.approx(math.sqrt(0.5 * math.pi) * math.exp(-1.0), rel=1e-15, abs=0.0)
+    assert k[1] == 0.0
+    assert best < 0.01
 
 
 def test_bessel_k_refuses_small_argument():

@@ -10,10 +10,12 @@ from bundlezeta.bundle_graph import TorusBundleSpec, build_torus, laplacian
 from bundlezeta.errors import PreconditionError
 from bundlezeta.heat_theta import ContinuousTorusSpec
 from bundlezeta.quadrature import QuadratureSpec
-from bundlezeta.special_functions import hurwitz_zeta
+from bundlezeta.special_functions import hurwitz_zeta, reciprocal_gamma
 from bundlezeta.zeta import (
+    EULER_GAMMA,
     ZetaEvaluation,
     _chowla_selberg,
+    _lattice_bracket,
     bernoulli_b2,
     epstein_hurwitz_deriv0,
     epstein_hurwitz_zeta,
@@ -228,7 +230,7 @@ def test_eh_deriv0_d1_closed_form_and_alpha_independence():
         expected = -2.0 * (math.log(math.sin(math.pi * lam)) + math.log(2.0))
         for alpha in (0.5, 1.0, 2.5):
             spec = ContinuousTorusSpec((alpha,), (lam,))
-            res = epstein_hurwitz_deriv0(spec)
+            res = epstein_hurwitz_deriv0(spec, method="integral_split")
             assert res.value == pytest.approx(expected, abs=1e-8)
 
 
@@ -236,7 +238,7 @@ def test_eh_deriv0_small_and_large_alpha():
     # -2 log(2 sin pi lam) for every alpha: the theta integrands follow the form rule at every t
     expected = -2.0 * math.log(2.0 * math.sin(0.3 * math.pi))
     for alpha in (1e-4, 0.01, 0.1, 1.0, 100.0):
-        res = epstein_hurwitz_deriv0(ContinuousTorusSpec((alpha,), (0.3,)))
+        res = epstein_hurwitz_deriv0(ContinuousTorusSpec((alpha,), (0.3,)), method="integral_split")
         assert res.value == pytest.approx(expected, rel=0.0, abs=1e-13)
 
 
@@ -263,14 +265,14 @@ def test_eh_split_small_alpha_against_mpmath():
 
 def test_eh_deriv0_matches_kronecker_on_mixed_case():
     spec = ContinuousTorusSpec((1.0, 1.0), (0.0, 0.5))
-    integral = epstein_hurwitz_deriv0(spec)
+    integral = epstein_hurwitz_deriv0(spec, method="integral_split")
     closed = kronecker_deriv0(1.0, 1.0, 0.0, 0.5)
     assert integral.value == pytest.approx(closed, abs=1e-8)
     # near trivial holonomy the rows' log1p(q (q - 2 cos 2 pi lam_p)) cancelled: (1, 1, 1e-9, 1e-9) read inf,
     # (1, 3, 1e-9, 1e-9) was 3e-3 off, (1, 1, 1e-6, 1e-6) 3e-8 and (1, 1, 1e-4, 0) 1.3e-11
     for alpha, lam in (((1.0, 1.0), (1e-9, 1e-9)), ((1.0, 3.0), (1e-9, 1e-9)), ((1.0, 1.0), (1e-6, 1e-6)),
                        ((1.0, 1.0), (1e-4, 0.0)), ((1.0, 1.0, 1.0), (1e-7, 0.3, 0.5)), ((1.0, 1.0, 1.0), (1e-7, 1e-7, 0.3))):
-        split = epstein_hurwitz_deriv0(ContinuousTorusSpec(alpha, lam)).value
+        split = epstein_hurwitz_deriv0(ContinuousTorusSpec(alpha, lam), method="integral_split").value
         assert _cs_deriv0(alpha, lam) == pytest.approx(split, rel=1e-12, abs=0.0), (alpha, lam)
     assert kronecker_deriv0(1.0, 1.0, 1e-9, 1e-9) == pytest.approx(38.132318641509855, rel=1e-12, abs=0.0)  # mpmath
 
@@ -303,7 +305,7 @@ def test_kronecker_long_thin_matches_integral():
     # rho = 1e-6: swapped to rho = 1e6, a handful of factors and no drift
     spec = ContinuousTorusSpec((1e-6, 1.0), (0.3, 0.5))
     closed = kronecker_deriv0(1e-6, 1.0, 0.3, 0.5)
-    assert closed == pytest.approx(epstein_hurwitz_deriv0(spec).value, rel=1e-13, abs=0.0)
+    assert closed == pytest.approx(epstein_hurwitz_deriv0(spec, method="integral_split").value, rel=1e-13, abs=0.0)
 
 
 def test_kronecker_refuses_doubly_trivial():
@@ -334,7 +336,7 @@ def test_half_period_product_identity():
 @settings(max_examples=15)
 def test_kronecker_matches_integral_randomized(lam1, lam2, ratio):
     spec = ContinuousTorusSpec((ratio, 1.0), (lam1, lam2))
-    integral = epstein_hurwitz_deriv0(spec)
+    integral = epstein_hurwitz_deriv0(spec, method="integral_split")
     closed = kronecker_deriv0(ratio, 1.0, lam1, lam2)
     assert integral.value == pytest.approx(closed, abs=5e-9)
 
@@ -361,13 +363,13 @@ def test_eh_method_agreement_d3_d4():
 
 
 @given(
-    st.sampled_from((3, 4)),
+    st.sampled_from((1, 2, 3, 4)),
     st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
     st.lists(st.sampled_from((0.0, 0.01, 0.5, 0.99)), min_size=4, max_size=4),
     st.floats(0.0, 1.0),
 )
-@settings(max_examples=60)
-def test_chowla_selberg_matches_split_d3_d4(d, log_ratios, lams, u):
+@settings(max_examples=80)
+def test_chowla_selberg_matches_split_d1_to_d4(d, log_ratios, lams, u):
     # aspect ratios 1e-3..1e3 against the first side, holonomies at the edges of [0, 1).  The split runs at
     # rel_tol 1e-12: at its default 1e-10 it misses (1, 1, 1, 1), (0, 0, 0, 0.01), s = 2.25 by 4.3 times its
     # estimate (1.2e-5 against 2.8e-6), where both routes agree to 2e-16 at rel_tol 1e-12 and 1e-13
@@ -375,8 +377,9 @@ def test_chowla_selberg_matches_split_d3_d4(d, log_ratios, lams, u):
     assume(any(lam))
     alpha = (1.0,) + tuple(10.0**x for x in log_ratios[: d - 1])
     spec, quad = ContinuousTorusSpec(alpha, lam), QuadratureSpec(abs_tol=1e-14, rel_tol=1e-12)
-    value, split = _cs_deriv0(alpha, lam), epstein_hurwitz_deriv0(spec, quad)
-    assert abs(value - split.value) <= max(1e-12 * abs(value), split.error_estimate), (alpha, lam)
+    rows, split = epstein_hurwitz_deriv0(spec), epstein_hurwitz_deriv0(spec, "integral_split", quad)
+    assert (rows.method, rows.error_estimate) == ("eigensum", 1e-12 * (1.0 + abs(rows.value)))
+    assert abs(rows.value - split.value) <= max(1e-12 * abs(rows.value), split.error_estimate), (alpha, lam)
     s = 0.5 * d + 0.25 + u * (9.75 - 0.5 * d)
     res, split = epstein_hurwitz_zeta(s, spec, method="eigensum"), epstein_hurwitz_zeta(s, spec, "integral_split", quad)
     assert abs(res.value - split.value) <= max(1e-12 * abs(res.value), split.error_estimate), (s, alpha, lam)
@@ -440,6 +443,19 @@ def test_chowla_selberg_cap_refused():
         _cs_deriv0((1.0, 1.0, 1.0), (0.5, 0.5, 1e-7))
 
 
+def test_eh_deriv0_d5_refuses_rows_and_splits():
+    # the d = 1 end of the recursion has no s = -2 case: the rows once read -0.07343 here, the split -0.33345
+    spec = ContinuousTorusSpec((1.0, 1.1, 0.9, 1.2, 1.0), (0.3, 0.2, 0.4, 0.1, 0.6))
+    with pytest.raises(PreconditionError, match="no d = 1 Chowla-Selberg end"):
+        _cs_deriv0(spec.alpha, spec.lam)
+    with pytest.raises(PreconditionError, match="no d = 1 Chowla-Selberg end"):
+        epstein_hurwitz_deriv0(spec, method="eigensum")
+    res = epstein_hurwitz_deriv0(spec)
+    assert res == epstein_hurwitz_deriv0(spec, method="integral_split")
+    assert res.method == "integral_split"
+    assert res.value == pytest.approx(-0.33345, abs=1e-5)
+
+
 def test_hurwitz_calls_stay_in_documented_range(monkeypatch):
     # hurwitz_zeta's docstring: every call in the package has s >= 1.5, at a = 1 (s <= 44) or a in [65, 66] (s <= 60)
     calls = []
@@ -472,20 +488,42 @@ def test_lattice_zeta_window_and_poles():
 
 
 def test_lattice_zeta_d1_closed_form():
-    # zeta_{Z}(s) = Gamma(1/2 - s) / (4^s sqrt(pi) Gamma(1 - s))
+    # the split, now only the cross-check in d = 1, against zeta_{Z}(s) = Gamma(1/2 - s) / (4^s sqrt(pi) Gamma(1 - s))
+    quad = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10)
     for s in (0.25, 0.4, -0.3, 1.2):
         expected = math.gamma(0.5 - s) / (4.0**s * math.sqrt(math.pi) * math.gamma(1.0 - s))
-        res = lattice_zeta(s, 1)
-        assert res.value == pytest.approx(expected, rel=1e-8, abs=0.0)
+        bracket, _ = _lattice_bracket(s, 1, quad)
+        assert reciprocal_gamma(s) * (bracket + 1.0 / s) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert lattice_zeta(s, 1).value == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+def test_lattice_zeta_d1_closed_form_against_mpmath():
+    # the split was 1.6e-14 to 1.5e-13 relative off mpmath at s = 0.25, -0.3, 0.9 and 1.2
+    mpmath = pytest.importorskip("mpmath")
+    for s in (-0.9, -0.3, 0.25, 0.49, 0.51, 0.9, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.2, 1.49):
+        with mpmath.workdps(40):
+            exact = 0.0 if s == 1.0 else float(mpmath.gamma(1 - 2 * mpmath.mpf(s)) / mpmath.gamma(1 - mpmath.mpf(s)) ** 2)
+        res = lattice_zeta(s, 1, QuadratureSpec(abs_tol=1e-20, rel_tol=1e-20))  # no quadrature runs
+        assert res.method == "closed_form"
+        assert abs(res.value - exact) <= 4.0 * math.ulp(exact), s
+    # the stated estimate covers the whole window
+    for s in np.linspace(-0.999, 1.499, 200):
+        with mpmath.workdps(40):
+            exact = float(mpmath.gamma(1 - 2 * mpmath.mpf(s)) / mpmath.gamma(1 - mpmath.mpf(s)) ** 2)
+        res = lattice_zeta(float(s), 1)
+        assert abs(res.value - exact) <= res.error_estimate, s
 
 
 def test_lattice_zeta_stable_under_tolerance_halving():
-    coarse = lattice_zeta(0.25, 1, QuadratureSpec(abs_tol=2e-9, rel_tol=2e-9))
-    fine = lattice_zeta(0.25, 1, QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9))
+    coarse = lattice_zeta(0.25, 2, QuadratureSpec(abs_tol=2e-9, rel_tol=2e-9))
+    fine = lattice_zeta(0.25, 2, QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9))
     assert abs(coarse.value - fine.value) <= max(coarse.error_estimate, 1e-9)
 
 
 def test_lattice_zeta_deriv0_equals_minus_lattice_constant():
+    assert lattice_zeta_deriv0(1) == ZetaEvaluation(0.0, 0.0, "closed_form")
+    bracket, err = _lattice_bracket(0.0, 1, QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11))
+    assert abs(EULER_GAMMA + bracket) <= err  # the split in d = 1, the cross-check of the exact 0
     for d in (1, 2):
         deriv = lattice_zeta_deriv0(d)
         assert -deriv.value == pytest.approx(lattice_constant(d), abs=1e-6)
