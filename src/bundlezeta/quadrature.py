@@ -200,7 +200,10 @@ def integrate_semi_infinite(
         def tail_integrand(v):
             return f(cut * v**-e) * e * cut * v ** (-e - 1.0)
 
-    res = integrate_interval(tail_integrand, 0.0, 1.0, sub_spec)
+    try:
+        res = integrate_interval(tail_integrand, 0.0, 1.0, sub_spec)
+    except OverflowError as exc:  # cut v^{-e} passes the float range near v = 0 when p is close to 1
+        raise QuadratureError(f"the power-tail substitution overflowed: {exc}", value=head.value) from exc
     value = head.value + res.value
     error = head.error_estimate + res.error_estimate
     evals = head.evaluations + res.evaluations

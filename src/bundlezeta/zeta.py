@@ -13,13 +13,16 @@ Two independent routes cross-validate each number:
                         The continuum torus splits at theta's own decay scale (``_eh_bracket``), the
                         integer lattice at 1.
 
-In d = 1 the lattice zeta is the ``closed_form`` Gamma(1 - 2s)/Gamma(1 - s)^2, and its split
-(``_lattice_bracket``) is the cross-check.  Each derivative at s = 0 by the split is its bracket at s = 0,
-where the zeta vanishes, and every bracket is one call of ``quadrature._mellin_split``.
+In d = 1 the lattice zeta is the ``closed_form`` Gamma(1 - 2s)/Gamma(1 - s)^2.  In d = 2..10 its Mellin
+integral is dot products over one table of (e^{-2t} I_0(2t))^d, built once per process and independent of
+s and d (``_lattice_sum``).  In every d the adaptive split (``_lattice_bracket``) is the cross-check, and the
+lattice constant's own integral that of the derivative at 0.  Each derivative at s = 0 is its bracket at
+s = 0, where the zeta vanishes; the continuum brackets are one call of ``quadrature._mellin_split`` each.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -27,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundle_graph import TorusBundleSpec, _refuse_trivial, torus_eigenvalues
-from .errors import PreconditionError, _count
+from .errors import PreconditionError, QuadratureError, _count
 from .heat_theta import ContinuousTorusSpec, theta_continuous, theta_continuous_minus_leading
-from .quadrature import QuadratureSpec, TailRule, _mellin_split, integrate_semi_infinite
+from .quadrature import _WG, _WGK, _XGK, QuadratureSpec, TailRule, _mellin_split, integrate_semi_infinite
 from .special_functions import bessel_i0_scaled_ratio_minus_one, bessel_i_scaled, bessel_k, hurwitz_zeta
 from .special_functions import log_bessel_i0_scaled, reciprocal_gamma, sin_pi
 
@@ -89,10 +92,15 @@ def lattice_constant(d: int) -> float:
     return value
 
 
-def lattice_constant_eval(d: int, quad: QuadratureSpec | None = None) -> tuple[float, float]:
+def _lattice_dimension(d) -> int:
+    """d as an int in 1..10, the dimensions of the lattice constant and the lattice zeta."""
     if (d := _count(d, "dimension")) > 10:
         raise PreconditionError(f"dimension must be in 1..10, got {d}")
-    if d == 1:
+    return d
+
+
+def lattice_constant_eval(d: int, quad: QuadratureSpec | None = None) -> tuple[float, float]:
+    if (d := _lattice_dimension(d)) == 1:
         # c_1 = int_0^1 log(4 sin^2 pi x) dx = 0 exactly; quadrature would leave ~1e-16
         return 0.0, 0.0
     quad = quad or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
@@ -287,7 +295,8 @@ def kronecker_deriv0(alpha1: float, alpha2: float, lam1: float, lam2: float) -> 
 
 
 def _lattice_bracket(s: float, d: int, quad: QuadratureSpec) -> tuple[float, float]:
-    """Gamma(s) times the lattice zeta less its 1/s term, split at t = 1, and its error estimate."""
+    """Gamma(s) times the lattice zeta less its 1/s term, split at t = 1, and its error estimate: the adaptive
+    cross-check of ``_lattice_sum`` (tests only)."""
 
     def head(t: float) -> float:
         return _scaled_i0_power_minus_one(d, t) * t ** (s - 1.0)
@@ -308,17 +317,67 @@ def _rectified_unit_integrand(f, beta: float):
     return lambda u: f(u**gamma) * gamma * u ** (gamma - 1.0)
 
 
+_LOG_T_PANELS = (-8.0, 14.0, 44)  # u = log t from -8 to 14 in panels of width 1/2
+_TAYLOR_TERMS, _ASYMPTOTIC_TERMS = 8, 4  # kept below t = e^-8 and above e^14; the next one is the estimate
+
+
+@functools.cache
+def _lattice_table() -> tuple[np.ndarray, ...]:
+    """What the lattice zeta needs of (e^{-2t} I_0(2t))^d that depends on neither s nor d: the GK15 nodes t = e^u
+    of ``_LOG_T_PANELS``, their Kronrod and Kronrod-less-Gauss weights in u, log(e^{-2t} I_0(2t)) at t < 1 and
+    log(1 + r), r = sqrt(4 pi t) e^{-2t} I_0(2t) - 1, at t > 1, and in row d - 1 (d <= 10) the Taylor coefficients
+    of (e^{-2t} I_0(2t))^d, from e^{-2t} I_0(2t) = sum_k (-1)^k C(2k, k) t^k / k!, and those of (1 + r)^d in 1/t."""
+    lo, hi, n = _LOG_T_PANELS
+    x, wg = np.array(_XGK[:7]), np.zeros(15)
+    wg[1::2] = _WG + _WG[2::-1]
+    wk = np.array(_WGK + _WGK[6::-1])
+    t = np.exp(lo + (hi - lo) / n * (np.arange(n)[:, None] + 0.5 + 0.5 * np.concatenate((-x, [0.0], x[::-1])))).ravel()
+    logs = np.array([log_bessel_i0_scaled(2 * v) if v < 1 else math.log1p(bessel_i0_scaled_ratio_minus_one(2 * v)) for v in t])
+    k, m = np.arange(_TAYLOR_TERMS + 2), np.arange(1, _ASYMPTOTIC_TERMS + 2)
+    heat = (-1.0) ** k * np.array([math.comb(2 * j, j) / math.factorial(j) for j in k])
+    ratio = np.cumprod(np.concatenate(([1.0], (2 * m - 1) ** 2 / (16.0 * m))))
+    rows = [list(itertools.accumulate(range(9), lambda p, _, c=c: np.convolve(p, c)[: len(c)], initial=c)) for c in (heat, ratio)]
+    scale = (hi - lo) / (2 * n)
+    return t, np.tile(wk, n) * scale, np.tile(wk - wg, n) * scale, logs, *map(np.array, rows)
+
+
+def _lattice_sum(s: float, d: int, extra: float, quad: QuadratureSpec) -> tuple[float, float]:
+    """B + ``extra`` and its error estimate, B = Gamma(s) zeta_{Z^d}(s) - 1/s (the bracket of ``_lattice_bracket``)
+    from ``_lattice_table``: in t^s dt/t, the Taylor series of (e^{-2t} I_0(2t))^d - 1 integrated exactly below e^-8,
+    the Kronrod dot products of that function up to t = 1 and of (e^{-2t} I_0(2t))^d - (4 pi t)^{-d/2} (as
+    (4 pi t)^{-d/2} expm1(d log1p r)) up to e^14, the 1/t series of the latter integrated exactly above, and the
+    closed (4 pi)^{-d/2}/(d/2 - s).  The estimate adds |Kronrod - Gauss| over the panels, both series' first dropped
+    terms and 4 eps of the parts' absolute sum (rounding; against mpmath the bracket kept 2.4 eps of it, d = 2..10).
+    ``QuadratureError`` if it misses ``quad`` on the sum."""
+    t, wk, wd, logs, taylor, asymptotic = _lattice_table()
+    lo, hi, _ = _LOG_T_PANELS
+    lead = (4.0 * math.pi) ** (-0.5 * d)
+    f = np.expm1(d * logs) * np.where(t < 1.0, t**s, lead * t ** (s - 0.5 * d))
+    k, m = np.arange(1, _TAYLOR_TERMS + 2), np.arange(1, _ASYMPTOTIC_TERMS + 2)
+    below = taylor[d - 1, 1:] * np.exp(lo * (s + k)) / (s + k)
+    above = lead * asymptotic[d - 1, 1:] * np.exp(hi * (s - 0.5 * d - m)) / (m + 0.5 * d - s)
+    parts = np.concatenate((wk * f, below[:-1], above[:-1], (lead / (0.5 * d - s), extra)))
+    total = math.fsum(parts.tolist())
+    gauss_gap = np.abs((wd * f).reshape(-1, 15).sum(axis=1)).sum()
+    err = float(gauss_gap + abs(below[-1]) + abs(above[-1]) + 4.0 * math.ulp(1.0) * np.abs(parts).sum())
+    if not err <= (tol := max(quad.abs_tol, quad.rel_tol * abs(total))):
+        raise QuadratureError(f"lattice zeta estimate {err:.3g} above the tolerance {tol:.3g}", value=total, error_estimate=err)
+    return total, err
+
+
 def lattice_zeta(s: float, d: int, quad: QuadratureSpec | None = None) -> ZetaEvaluation:
-    """Spectral zeta of the integer lattice in integer dimension d >= 1.
+    """Spectral zeta of the integer lattice in integer dimension d in 1..10.
 
     Implemented continuation window: -1 < s < d/2 + 1 with the pole at
     s = d/2 excluded.  In d = 1 it is the closed form Gamma(1 - 2s)/Gamma(1 - s)^2
     (0 at s = 1, its limit) and ``quad`` is not used; its estimate is a few ulps, 16 ulp
-    of the value (against mpmath it kept 13 ulp over the window).  For d >= 2 it is the
-    split at t = 1 with one subtracted asymptotic term of the Bessel integrand on the
-    tail; s = 0 returns the exact value 1.
+    of the value (against mpmath it kept 13 ulp over the window).  s = 0 returns the
+    exact value 1 (``"closed_form"``).  Otherwise it is the Mellin integral on one fixed
+    table (``_lattice_sum``, no adaptive quadrature), with a computed estimate (plus
+    8 eps (1 + |log Gamma(s)|) of the value for 1/Gamma(s)); ``quad`` is the tolerance
+    that estimate must meet on Gamma(s) zeta(s), or ``QuadratureError`` is raised.
     """
-    d = _count(d, "dimension")
+    d = _lattice_dimension(d)
     if s == 0.5 * d:
         raise PreconditionError(f"pole at s = d/2 = {0.5 * d}")
     if not (-1.0 < s < 0.5 * d + 1.0):
@@ -327,20 +386,19 @@ def lattice_zeta(s: float, d: int, quad: QuadratureSpec | None = None) -> ZetaEv
         value = 0.0 if s == 1.0 else math.gamma(1.0 - 2.0 * s) / math.gamma(1.0 - s) ** 2
         return ZetaEvaluation(value, 16.0 * math.ulp(value), "closed_form")
     if s == 0.0:
-        return ZetaEvaluation(1.0, 0.0, "integral_split")
-    quad = quad or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10)
-    bracket, err = _lattice_bracket(s, d, quad)
-    rg = reciprocal_gamma(s)
-    return ZetaEvaluation(rg * (bracket + 1.0 / s), abs(rg) * err, "integral_split")
+        return ZetaEvaluation(1.0, 0.0, "closed_form")
+    total, err = _lattice_sum(s, d, 1.0 / s, quad or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10))
+    value = (rg := reciprocal_gamma(s)) * total
+    rounding = 8.0 * math.ulp(1.0) * abs(value) * (1.0 + abs(math.lgamma(s)))  # 1/Gamma kept 4.7 eps of it
+    return ZetaEvaluation(value, abs(rg) * err + rounding, "integral_split")
 
 
 def lattice_zeta_deriv0(d: int) -> ZetaEvaluation:
-    """d/ds at 0 of the lattice zeta (integer d >= 1): Euler's gamma plus the split bracket of
-    ``lattice_zeta`` at s = 0 less its 1/s term; equals minus the lattice constant, so 0 exactly in d = 1."""
-    if (d := _count(d, "dimension")) == 1:
+    """d/ds at 0 of the lattice zeta (integer d in 1..10): Euler's gamma plus the bracket of ``lattice_zeta`` at
+    s = 0 less its 1/s term, by ``_lattice_sum``; equals minus the lattice constant, so 0 exactly in d = 1."""
+    if (d := _lattice_dimension(d)) == 1:
         return ZetaEvaluation(0.0, 0.0, "closed_form")
-    bracket, err = _lattice_bracket(0.0, d, QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11))
-    return ZetaEvaluation(EULER_GAMMA + bracket, err, "integral_split")
+    return ZetaEvaluation(*_lattice_sum(0.0, d, EULER_GAMMA, QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)), "integral_split")
 
 
 # ---------------------------------------------------------------------------

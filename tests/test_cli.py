@@ -171,6 +171,14 @@ def test_zeta_s_outside_window_refused(capsys):
         assert "finite" in rep["error"]
 
 
+def test_zeta_zd_at_the_window_edge(capsys):
+    # s = d/2 + 0.99 once ended in a bare OverflowError (exit 1) from the split's power-tail substitution
+    for d in (2, 3, 4):
+        code, rep = run_json(capsys, "zeta", "zd", "--d", str(d), "--s", str(0.5 * d + 0.99))
+        assert (code, rep["result"]["method"]) == (0, "integral_split"), d
+        assert 0.0 < rep["result"]["error_estimate"] <= 1e-13 * abs(rep["result"]["value"])
+
+
 def _cli_subprocess(*argv) -> dict:
     """One CLI run in a fresh interpreter, with a timeout so that a runaway loop fails the test."""
     env = dict(os.environ)
@@ -329,10 +337,13 @@ def test_non_finite_continuum_input_refused(capsys):
 
 def test_non_convergence_exits_3(capsys):
     # a tolerance no quadrature reaches within its 8000 subdivisions is reported, never returned
-    code, rep = run_json(capsys, "zeta", "zd", "--d", "2", "--s", "0.5", "--tol", "1e-20")
+    code, rep = run_json(capsys, "zeta", "cd", "--d", "2", "--tol", "1e-20")
     assert code == 3
     assert rep["kind"] == "non-convergence"
     assert "did not converge after 8000 subdivisions" in rep["error"]
+    # the lattice zeta's fixed table refuses a tolerance its computed estimate misses
+    code, rep = run_json(capsys, "zeta", "zd", "--d", "2", "--s", "0.5", "--tol", "1e-20")
+    assert (code, rep["kind"]) == (3, "non-convergence")
     # --tol reaches eh-deriv0 only on the split fallback (d >= 5), and zd only for d >= 2
     for argv in (("eh-deriv0", "--alpha", "1", "--lambda", "0.5"), ("zd", "--d", "1", "--s", "0.25")):
         code, rep = run_json(capsys, "zeta", *argv, "--tol", "1e-20")

@@ -35,6 +35,12 @@ def test_semi_infinite_power_tail():
     assert res.value == pytest.approx(2.0, abs=1e-12)
 
 
+def test_power_tail_overflow_raises_quadrature_error():
+    # at p = 1.01 the substitution t = cut v^{-100} leaves the float range near v = 0: once a bare OverflowError
+    with pytest.raises(QuadratureError, match="overflowed"):
+        integrate_semi_infinite(lambda t: t**-1.01 * math.log(t) / (1.0 + math.log(t)), 1.0, tail=TailRule("power", 1.01))
+
+
 def test_semi_infinite_gaussian_against_closed_form():
     res = integrate_semi_infinite(
         lambda t: math.exp(-t * t), 0.0, tail=TailRule("exp", 2.0)

@@ -1,13 +1,15 @@
 import functools
+import inspect
 import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import bundlezeta.quadrature as quadrature
 import bundlezeta.zeta as zeta_module
 from bundlezeta.bundle_graph import TorusBundleSpec, build_torus, laplacian
-from bundlezeta.errors import PreconditionError
+from bundlezeta.errors import PreconditionError, QuadratureError
 from bundlezeta.heat_theta import ContinuousTorusSpec
 from bundlezeta.quadrature import QuadratureSpec
 from bundlezeta.special_functions import hurwitz_zeta, reciprocal_gamma
@@ -478,13 +480,12 @@ def test_hurwitz_calls_stay_in_documented_range(monkeypatch):
 
 
 def test_lattice_zeta_window_and_poles():
-    with pytest.raises(PreconditionError):
-        lattice_zeta(0.5, 1)
-    with pytest.raises(PreconditionError):
-        lattice_zeta(1.6, 1)
-    with pytest.raises(PreconditionError):
-        lattice_zeta(-1.0, 2)
-    assert lattice_zeta(0.0, 3).value == 1.0
+    for refused in (lambda: lattice_zeta(0.5, 1), lambda: lattice_zeta(1.6, 1), lambda: lattice_zeta(-1.0, 2),
+                    lambda: lattice_zeta(0.5, 11), lambda: lattice_zeta_deriv0(11)):
+        with pytest.raises(PreconditionError):
+            refused()
+    for d in (2, 3, 10):  # no quadrature runs for the exact 1
+        assert lattice_zeta(0.0, d) == ZetaEvaluation(1.0, 0.0, "closed_form")
 
 
 def test_lattice_zeta_d1_closed_form():
@@ -524,9 +525,88 @@ def test_lattice_zeta_deriv0_equals_minus_lattice_constant():
     assert lattice_zeta_deriv0(1) == ZetaEvaluation(0.0, 0.0, "closed_form")
     bracket, err = _lattice_bracket(0.0, 1, QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11))
     assert abs(EULER_GAMMA + bracket) <= err  # the split in d = 1, the cross-check of the exact 0
-    for d in (1, 2):
-        deriv = lattice_zeta_deriv0(d)
-        assert -deriv.value == pytest.approx(lattice_constant(d), abs=1e-6)
+    for d in range(2, 11):  # lattice_constant integrates its own integrand, adaptively
+        deriv, (c_d, c_err) = lattice_zeta_deriv0(d), lattice_constant_eval(d)
+        assert abs(-deriv.value - c_d) <= deriv.error_estimate + c_err, d
+    # 4G/pi and mpmath's -zeta'_{Z^3}(0)
+    assert abs(-lattice_zeta_deriv0(2).value - 1.166243616123275120553538) <= math.ulp(1.1662436161232751)
+    assert abs(-lattice_zeta_deriv0(3).value - 1.673389302970196732) <= 2.0 * math.ulp(1.673389302970196732)
+
+
+@functools.cache
+def _lattice_bracket_mpmath(d: int):
+    """B(s) = Gamma(s) zeta_{Z^d}(s) - 1/s in mpmath at 30 digits, sharing no code with ``_lattice_sum``: on (0, 1]
+    the Taylor series of (e^{-2t} I_0(2t))^d - 1 integrated term by term (mpmath's quad of it is 2.1e-2 off at
+    d = 2, s = -0.95), on [1, e^20] 24-point Gauss-Legendre panels of width 1/2 in log t over mpmath's besseli, and above
+    e^20 the 1/t series of (e^{-2t} I_0(2t))^d (4 pi t)^{d/2} - 1 integrated term by term."""
+    mpmath = pytest.importorskip("mpmath")
+    n, mpf = 40 + 15 * d, mpmath.mpf  # Taylor terms: (4d)^n/n! is below 1e-30 at t = 1
+    with mpmath.workdps(30):
+        heat = [mpf((-1) ** k * math.comb(2 * k, k)) / mpmath.factorial(k) for k in range(n)]
+        step = [mpf(1)]
+        for j in range(1, 8):
+            step.append(step[-1] * (2 * j - 1) ** 2 / (16 * j))
+        coef, ratio = [mpf(1)] + [mpf(0)] * (n - 1), [mpf(1)] + [mpf(0)] * 7
+        for _ in range(d):
+            coef = [mpmath.fsum(coef[j] * heat[k - j] for j in range(k + 1)) for k in range(n)]
+            ratio = [mpmath.fsum(ratio[j] * step[k - j] for j in range(k + 1)) for k in range(8)]
+        lead, half = (4 * mpmath.pi) ** (-mpf(d) / 2), mpf(d) / 2
+        nodes = []
+        for j in range(40):
+            for x, w in mpmath.calculus.quadrature.GaussLegendre(mpmath.mp).calc_nodes(4, mpmath.mp.prec):
+                t = mpmath.exp((j + (x + 1) / 2) / 2)
+                nodes.append((t, w / 4, (mpmath.exp(-2 * t) * mpmath.besseli(0, 2 * t)) ** d - lead * t**-half))
+
+    def bracket(s):
+        with mpmath.workdps(30):
+            s = mpf(s)
+            head = mpmath.fsum(coef[k] / (s + k) for k in range(1, n))
+            tail = mpmath.fsum(w * g * t**s for t, w, g in nodes)
+            far = lead * mpmath.fsum(ratio[k] * mpmath.exp(20 * (s - half - k)) / (k + half - s) for k in range(1, 8))
+            return head + tail + far + lead / (half - s)
+
+    return mpmath, bracket
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_lattice_zeta_against_mpmath(d):
+    # s = d/2 + 0.99 crashed with an OverflowError in the adaptive split's power-tail substitution
+    mpmath, bracket = _lattice_bracket_mpmath(d)
+    for s in (-0.95, -0.5, 0.25, 0.75, 0.5 * d - 0.05, 0.5 * d + 0.05, 0.5 * d + 0.5, 0.5 * d + 0.99):
+        res, b = lattice_zeta(s, d), bracket(s)
+        exact = (b + 1 / mpmath.mpf(s)) / mpmath.gamma(s)
+        assert res.method == "integral_split"
+        assert abs(res.value - exact) <= res.error_estimate, (d, s)
+        assert res.error_estimate <= 1e-13 * float(abs(b) + 1 / abs(s)) * abs(reciprocal_gamma(s)), (d, s)
+    exact = -bracket(0) - mpmath.euler
+    assert abs(-lattice_zeta_deriv0(d).value - exact) <= lattice_zeta_deriv0(d).error_estimate
+
+
+@pytest.mark.parametrize("d", range(2, 11))
+def test_lattice_table_agrees_with_adaptive_split(d):
+    quad = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10)
+    for s in (-0.95, -0.4, 0.0, 0.3, 0.5 * d - 0.3, 0.5 * d + 0.3, 0.5 * d + 0.7):
+        bracket, err = _lattice_bracket(s, d, quad)
+        table, est = zeta_module._lattice_sum(s, d, 0.0, quad)
+        assert abs(table - bracket) <= err + est, (d, s)
+    with pytest.raises(QuadratureError, match="overflowed"):  # a power tail t^{-1.01}: once a bare OverflowError
+        _lattice_bracket(0.5 * d + 0.99, d, quad)
+
+
+def test_lattice_zeta_runs_no_adaptive_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("adaptive quadrature ran")
+
+    monkeypatch.setattr(quadrature, "integrate_interval", refuse)
+    zeta_module._lattice_table.cache_clear()
+    for d in (2, 3, 7, 10):
+        for s in (-0.5, 0.3, 0.5 * d + 0.5):
+            lattice_zeta(s, d)
+        lattice_zeta_deriv0(d)
+    # one table, built once, with no argument: no cache is keyed by s or d
+    assert zeta_module._lattice_table.cache_info()[1:] == (1, None, 1)
+    assert not inspect.signature(zeta_module._lattice_table).parameters
+    assert [name for name, f in vars(zeta_module).items() if hasattr(f, "cache_info")] == ["_lattice_table"]
 
 
 def test_lattice_zeta_d3_matches_torus_trend():
