@@ -15,9 +15,9 @@ relative accuracy at small t.
 
 The continuum limit theta_inf factors the same way.  Per direction the
 form rule takes the Poisson-dual Gaussian sum below t = alpha^2 / pi and
-the spectral one from it; both sums run over ranges fixed before any term
-is summed, and a forced form that would need more than ``_GAUSS_TERM_CAP``
-terms refuses instead of truncating.
+the spectral one from it, at an ascending array of t in one numpy pass;
+both sums run over ranges fixed by its extreme t before any term is
+summed, and a forced form past ``_GAUSS_TERM_CAP`` terms refuses, never truncates.
 """
 
 from __future__ import annotations
@@ -213,9 +213,9 @@ _GAUSS_DEPTH = 42.0  # a Gaussian sum keeps every term within e^-42 of its first
 _GAUSS_TERM_CAP = 10_000  # a forced form that needs more terms refuses
 
 
-def cos_2pi(x: float) -> float:
-    """cos(2 pi x), reduced on x itself and exactly 0 at the quarter turns."""
-    return math.sin(math.pi * (0.5 - 2.0 * abs(x - round(x))))
+def cos_2pi(x):
+    """cos(2 pi x) of a float or an array, reduced on x itself and exactly 0 at the quarter turns."""
+    return np.sin(np.pi * (0.5 - 2.0 * np.abs(x - np.rint(x))))
 
 
 def _first_order(lam: float) -> int:
@@ -230,30 +230,40 @@ def _refusal(form: str, t: float) -> PreconditionError:
     )
 
 
-def _spectral_1d(alpha: float, lam: float, t: float) -> float:
-    """sum_k e^{-r (k + c)^2}, r = 4 pi^2 t / alpha^2, c = lam - round(lam),
-    over exactly the k with r (k + c)^2 <= r c^2 + 42."""
-    c = lam - round(lam)
-    w = 2.0 * math.pi / alpha
-    half = math.hypot(c, math.sqrt(_GAUSS_DEPTH / t) / w)
+def _spectral_1d(alpha: float, lam: float, t: np.ndarray) -> np.ndarray:
+    """sum_k e^{-r (k + c)^2} at every t, r = 4 pi^2 t / alpha^2, c = lam - round(lam), over exactly the k with
+    r (k + c)^2 <= r c^2 + 42 at the smallest t (the terms this adds at a larger t are below e^-42 of the first)."""
+    c, w, low = lam - round(lam), 2.0 * math.pi / alpha, t.min()
+    half = math.hypot(c, math.sqrt(_GAUSS_DEPTH / low) / w)
     if not 2.0 * half < _GAUSS_TERM_CAP:
-        raise _refusal("spectral", t)
-    total = 0.0
-    for k in range(math.ceil(-c - half), math.floor(half - c) + 1):
-        total += math.exp(-t * ((k + c) * w) ** 2)
-    return total
+        raise _refusal("spectral", low)
+    k = np.arange(math.ceil(-c - half), math.floor(half - c) + 1)
+    return np.exp(-t[:, None] * ((k + c) * w) ** 2).sum(axis=1)
 
 
-def _dual_bracket_1d(alpha: float, lam: float, t: float) -> float:
-    """2 sum_k e^{-r' k^2} cos(2 pi lam k), r' = alpha^2 / 4t, over k = 1..floor(sqrt(m^2 + 42 / r')),
-    m = ``_first_order(lam)``."""
-    last = math.hypot(_first_order(lam), 2.0 * math.sqrt(_GAUSS_DEPTH * t) / alpha)
+def _dual_bracket_1d(alpha: float, lam: float, t: np.ndarray) -> np.ndarray:
+    """2 sum_k e^{-r' k^2} cos(2 pi lam k) at every t, r' = alpha^2 / 4t, over k = 1..floor(sqrt(m^2 + 42 / r')) at
+    the largest t, m = ``_first_order(lam)`` (the terms this adds at a smaller t are below e^-42 of the first)."""
+    last = math.hypot(_first_order(lam), 2.0 * math.sqrt(_GAUSS_DEPTH * t.max()) / alpha)
     if not last < _GAUSS_TERM_CAP:
-        raise _refusal("dual", t)
-    total = 0.0
-    for k in range(1, math.floor(last) + 1):
-        total += math.exp(-((alpha * k) ** 2) / (4.0 * t)) * cos_2pi(lam * k)
-    return 2.0 * total
+        raise _refusal("dual", t.max())
+    k = np.arange(1, math.floor(last) + 1)
+    return 2.0 * (np.exp(-((alpha * k) ** 2) / (4.0 * t[:, None])) * cos_2pi(lam * k)).sum(axis=1)
+
+
+def _theta_pair(spec: ContinuousTorusSpec, t: np.ndarray, form: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, theta - L) at the ascending array t (finite, > 0), each direction's t in the form the rule (or ``form``)
+    picks: theta as the product of the directions' values, theta - L as ``theta_continuous_minus_leading`` says."""
+    value, lead, q = 1.0, 1.0, 0.0
+    for alpha, lam in zip(spec.alpha, spec.lam):
+        k = int(np.searchsorted(t, _DUAL_BELOW * alpha * alpha)) if form is None else len(t) * (form == "dual")
+        lead_1 = alpha / np.sqrt(4.0 * math.pi * t)
+        bracket = _dual_bracket_1d(alpha, lam, t[:k]) if k else t[:0]
+        spectral = _spectral_1d(alpha, lam, t[k:]) if k < len(t) else t[k:]
+        value = value * np.concatenate((lead_1[:k] * (1.0 + bracket), spectral))
+        s = np.concatenate((bracket, spectral / lead_1[k:] - 1.0))
+        lead, q = lead * lead_1, q * (1.0 + s) + s
+    return value, lead * q
 
 
 def theta_continuous(spec: ContinuousTorusSpec, t: float, form: str | None = None) -> float:
@@ -274,13 +284,7 @@ def theta_continuous(spec: ContinuousTorusSpec, t: float, form: str | None = Non
     _require_time(t)
     if form not in (None, "spectral", "dual"):
         raise PreconditionError(f"unknown theta form {form!r}")
-    value = 1.0
-    for alpha, lam in zip(spec.alpha, spec.lam):
-        if (t < _DUAL_BELOW * alpha * alpha) if form is None else form == "dual":
-            value *= alpha / math.sqrt(4.0 * math.pi * t) * (1.0 + _dual_bracket_1d(alpha, lam, t))
-        else:
-            value *= _spectral_1d(alpha, lam, t)
-    return value
+    return float(_theta_pair(spec, np.array([t], dtype=float), form)[0][0])
 
 
 def theta_discrete_minus_leading(spec: TorusBundleSpec, t: float) -> float:
@@ -318,14 +322,4 @@ def theta_continuous_minus_leading(spec: ContinuousTorusSpec, t: float) -> float
     parenthesis is accumulated as q <- q (1 + s) + s so no large terms cancel.
     """
     _require_time(t)
-    lead = 1.0
-    q = 0.0
-    for alpha, lam in zip(spec.alpha, spec.lam):
-        lead_1 = alpha / math.sqrt(4.0 * math.pi * t)
-        if t < _DUAL_BELOW * alpha * alpha:
-            s = _dual_bracket_1d(alpha, lam, t)
-        else:
-            s = _spectral_1d(alpha, lam, t) / lead_1 - 1.0
-        lead *= lead_1
-        q = q * (1.0 + s) + s
-    return lead * q
+    return float(_theta_pair(spec, np.array([t], dtype=float))[1][0])

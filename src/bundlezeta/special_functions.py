@@ -255,12 +255,14 @@ def bessel_i_complex(order: int, z: complex) -> complex:
 
 
 def bessel_i0_scaled_ratio_minus_one(x: float) -> float:
-    """sqrt(2 pi x) e^{-x} I_0(x) - 1, free of cancellation for large x.
+    """sqrt(2 pi x) e^{-x} I_0(x) - 1, free of cancellation from x = 35.
 
     For x >= 35 this is the large-argument series with its leading 1
     dropped (all terms positive); subtracting the leading power of the
     integer-lattice heat integrand through this helper keeps full relative
-    accuracy at arbitrarily large times.
+    accuracy at arbitrarily large times.  Against mpmath, below 35 (where it
+    subtracts 1) the absolute error is at most 11 eps and the relative one
+    up to 2.8e3 eps; from 35 the relative error is at most 4 eps.
     """
     if not x > 0:
         raise PreconditionError("needs x > 0")

@@ -10,14 +10,14 @@ Two independent routes cross-validate each number:
 * ``integral_split`` -- Mellin integrals of theta split at t0, with the (4 pi t)^{-d/2} leading term
                         removed on (0, t0] without cancellation: the analytic continuation, valid for
                         every s away from the pole at d/2, and the fallback where the rows are refused.
-                        The continuum torus splits at theta's own decay scale (``_eh_bracket``), the
-                        integer lattice at 1.
+                        The continuum torus splits at theta's own decay scale, on one fixed grid in
+                        log t (``_eh_bracket``), the integer lattice at 1.
 
 In d = 1 the lattice zeta is the ``closed_form`` Gamma(1 - 2s)/Gamma(1 - s)^2.  In d = 2..10 its Mellin
 integral is dot products over one table of (e^{-2t} I_0(2t))^d, built once per process and independent of
 s and d (``_lattice_sum``).  In every d the adaptive split (``_lattice_bracket``) is the cross-check, and the
 lattice constant's own integral that of the derivative at 0.  Each derivative at s = 0 is its bracket at
-s = 0, where the zeta vanishes; the continuum brackets are one call of ``quadrature._mellin_split`` each.
+s = 0, where the zeta vanishes.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ import numpy as np
 
 from .bundle_graph import TorusBundleSpec, _refuse_trivial, torus_eigenvalues
 from .errors import PreconditionError, QuadratureError, _count
-from .heat_theta import ContinuousTorusSpec, theta_continuous, theta_continuous_minus_leading
-from .quadrature import _WG, _WGK, _XGK, QuadratureSpec, TailRule, _mellin_split, integrate_semi_infinite
+from .heat_theta import ContinuousTorusSpec, _theta_pair
+from .quadrature import QuadratureSpec, TailRule, _grid_sum, _log_time_panels, _mellin_split, integrate_semi_infinite
 from .special_functions import bessel_i0_scaled_ratio_minus_one, bessel_i_scaled, bessel_k, hurwitz_zeta
 from .special_functions import log_bessel_i0_scaled, reciprocal_gamma, sin_pi
 
@@ -245,6 +245,18 @@ def epstein_hurwitz_zeta(s: float, spec: ContinuousTorusSpec, method: str = "aut
     return _rows_or_split(s, spec, method, quad or QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10), False)
 
 
+_EH_DEPTH = 60.0  # the grid's ends drop below e^-60 of the closed term (head) and of theta(t0) (tail)
+
+
+def _decay_end(p: float, offset: float) -> tuple[float, float]:
+    """An x >= 2 max(p - 1, 5) where offset + the log of a bound on int_x^inf y^{p-1} e^{-y} dy,
+    x^{p-1} e^{-x} / (1 - max(p - 1, 0)/x), is about -``_EH_DEPTH`` (four fixed-point steps), and that sum."""
+    x = _EH_DEPTH
+    for _ in range(4):
+        x = max(_EH_DEPTH + offset + (p - 1.0) * math.log(x), 2.0 * max(p - 1.0, 5.0))
+    return x, offset + (p - 1.0) * math.log(x) - x - math.log1p(-max(p - 1.0, 0.0) / x)
+
+
 def _eh_bracket(s: float, spec: ContinuousTorusSpec, quad: QuadratureSpec) -> tuple[float, float]:
     """Gamma(s) times the continuum zeta by the Mellin split at t0, and its error estimate:
 
@@ -252,21 +264,30 @@ def _eh_bracket(s: float, spec: ContinuousTorusSpec, quad: QuadratureSpec) -> tu
         + int_t0^inf theta(t) t^{s-1} dt
         + prod(alpha) (4 pi)^{-d/2} t0^{s-d/2} / (s - d/2).
 
-    Both integrands follow the form rule of ``heat_theta``, the head one without cancellation.  t0 is 1 clamped
-    into [T, 10 T], T = 1/(4 pi^2 min_freq) the decay scale of theta (so t0 = 1 exactly when T is in [0.1, 1]).
-    Measured against mpmath and Chowla-Selberg sums (d = 1 at alpha 0.01..1e4, d = 2 at aspect ratios
-    1e-6..1e6), every t0 in [0.1 T, 10 T] kept 1e-11 relative; 100 T lost 1e-2 at s = 10, and 1e-3 T lost 1e-4
-    beyond its estimate.  The split runs in units of t0 (t0^s factored out), so its absolute tolerance is taken
-    at the torus's own scale.  With no zero mode the zeta vanishes at 0, so at s = 0 the bracket is the derivative.
+    t0 is 1 clamped into [T, 10 T], T = 1/rate the decay scale of theta, rate = 4 pi^2 min_freq.  The integrals are
+    one ``quadrature._grid_sum`` over GK15 panels in log(t / t0), in units of t0 (the absolute tolerance is taken at
+    the torus's scale): theta - L at the head nodes, theta at the tail nodes, in one numpy pass each.  The ends are
+    fixed a priori: below t = alpha_min^2 / 4X the head drops at most 2.01 d prod(alpha) (4 pi)^{-d/2} int
+    t^{s-1-d/2} e^{-alpha_min^2/4t} dt (each dual bracket is below 2 e^{-alpha_min^2/4t}), and past the last node t_n
+    the tail at most theta(t_n) e^{rate t_n} int t^{s-1} e^{-rate t} dt (theta e^{rate t} does not grow).  The panels
+    are halved while the estimate misses ``quad``, to width 1/16, then ``QuadratureError``.  With no zero mode the
+    zeta vanishes at 0, so at s = 0 the bracket is the derivative.
     """
     d, rate = spec.d, 4.0 * math.pi**2 * _min_frequency(spec)
     t0 = min(max(1.0, 1.0 / rate), 10.0 / rate)
-    value, err = _mellin_split(
-        lambda t: theta_continuous_minus_leading(spec, t) * (t / t0) ** (s - 1.0) / t0,
-        lambda t: theta_continuous(spec, t) * (t / t0) ** (s - 1.0) / t0,
-        TailRule("exp", rate), t0, (math.prod(spec.alpha) * (4.0 * math.pi * t0) ** (-0.5 * d) / (s - 0.5 * d),), quad,
-    )
-    return t0**s * value, t0**s * err
+    closed, a, p = math.prod(spec.alpha) * (4.0 * math.pi * t0) ** (-0.5 * d), min(spec.alpha) ** 2 / (4.0 * t0), 0.5 * d - s
+    (x, head_log), (y, tail_log) = _decay_end(p, math.log(2.01 * d) - p * math.log(a)), _decay_end(s, rate * t0 - s * math.log(rate * t0))
+    lo, hi = -0.5 * max(1, math.ceil(2.0 * math.log(x / a))), 0.5 * max(1, math.ceil(2.0 * math.log(y / (rate * t0))))
+    for width in (0.5, 0.25, 0.125, 0.0625):
+        u, wk, wd = _log_time_panels(lo, hi, width)
+        r, n = np.exp(u), 15 * round(-lo / width)
+        f = np.concatenate((_theta_pair(spec, t0 * r[:n])[1], _theta_pair(spec, t0 * r[n:])[0]))
+        dropped = closed * math.exp(head_log) + f[-1] * math.exp(rate * t0 * (r[-1] - 1.0) + tail_log)
+        total, err = _grid_sum(f * r**s, wk, wd, [closed / (s - 0.5 * d)], dropped)
+        if err <= (tol := max(quad.abs_tol, quad.rel_tol * abs(total))):
+            return t0**s * total, t0**s * err
+    msg = f"continuum zeta estimate {t0**s * err:.3g} above the tolerance {t0**s * tol:.3g} with panels of width {width}"
+    raise QuadratureError(msg, value=t0**s * total, error_estimate=t0**s * err)
 
 
 def epstein_hurwitz_deriv0(spec: ContinuousTorusSpec, method: str = "auto", quad: QuadratureSpec | None = None) -> ZetaEvaluation:
@@ -317,7 +338,7 @@ def _rectified_unit_integrand(f, beta: float):
     return lambda u: f(u**gamma) * gamma * u ** (gamma - 1.0)
 
 
-_LOG_T_PANELS = (-8.0, 14.0, 44)  # u = log t from -8 to 14 in panels of width 1/2
+_LOG_T_PANELS = (-8.0, 14.0, 0.5)  # u = log t from -8 to 14 in panels of width 1/2
 _TAYLOR_TERMS, _ASYMPTOTIC_TERMS = 8, 4  # kept below t = e^-8 and above e^14; the next one is the estimate
 
 
@@ -327,18 +348,14 @@ def _lattice_table() -> tuple[np.ndarray, ...]:
     of ``_LOG_T_PANELS``, their Kronrod and Kronrod-less-Gauss weights in u, log(e^{-2t} I_0(2t)) at t < 1 and
     log(1 + r), r = sqrt(4 pi t) e^{-2t} I_0(2t) - 1, at t > 1, and in row d - 1 (d <= 10) the Taylor coefficients
     of (e^{-2t} I_0(2t))^d, from e^{-2t} I_0(2t) = sum_k (-1)^k C(2k, k) t^k / k!, and those of (1 + r)^d in 1/t."""
-    lo, hi, n = _LOG_T_PANELS
-    x, wg = np.array(_XGK[:7]), np.zeros(15)
-    wg[1::2] = _WG + _WG[2::-1]
-    wk = np.array(_WGK + _WGK[6::-1])
-    t = np.exp(lo + (hi - lo) / n * (np.arange(n)[:, None] + 0.5 + 0.5 * np.concatenate((-x, [0.0], x[::-1])))).ravel()
+    u, wk, wd = _log_time_panels(*_LOG_T_PANELS)
+    t = np.exp(u)
     logs = np.array([log_bessel_i0_scaled(2 * v) if v < 1 else math.log1p(bessel_i0_scaled_ratio_minus_one(2 * v)) for v in t])
     k, m = np.arange(_TAYLOR_TERMS + 2), np.arange(1, _ASYMPTOTIC_TERMS + 2)
     heat = (-1.0) ** k * np.array([math.comb(2 * j, j) / math.factorial(j) for j in k])
     ratio = np.cumprod(np.concatenate(([1.0], (2 * m - 1) ** 2 / (16.0 * m))))
     rows = [list(itertools.accumulate(range(9), lambda p, _, c=c: np.convolve(p, c)[: len(c)], initial=c)) for c in (heat, ratio)]
-    scale = (hi - lo) / (2 * n)
-    return t, np.tile(wk, n) * scale, np.tile(wk - wg, n) * scale, logs, *map(np.array, rows)
+    return t, wk, wd, logs, *map(np.array, rows)
 
 
 def _lattice_sum(s: float, d: int, extra: float, quad: QuadratureSpec) -> tuple[float, float]:
@@ -356,10 +373,7 @@ def _lattice_sum(s: float, d: int, extra: float, quad: QuadratureSpec) -> tuple[
     k, m = np.arange(1, _TAYLOR_TERMS + 2), np.arange(1, _ASYMPTOTIC_TERMS + 2)
     below = taylor[d - 1, 1:] * np.exp(lo * (s + k)) / (s + k)
     above = lead * asymptotic[d - 1, 1:] * np.exp(hi * (s - 0.5 * d - m)) / (m + 0.5 * d - s)
-    parts = np.concatenate((wk * f, below[:-1], above[:-1], (lead / (0.5 * d - s), extra)))
-    total = math.fsum(parts.tolist())
-    gauss_gap = np.abs((wd * f).reshape(-1, 15).sum(axis=1)).sum()
-    err = float(gauss_gap + abs(below[-1]) + abs(above[-1]) + 4.0 * math.ulp(1.0) * np.abs(parts).sum())
+    total, err = _grid_sum(f, wk, wd, np.r_[below[:-1], above[:-1], lead / (0.5 * d - s), extra], abs(below[-1]) + abs(above[-1]))
     if not err <= (tol := max(quad.abs_tol, quad.rel_tol * abs(total))):
         raise QuadratureError(f"lattice zeta estimate {err:.3g} above the tolerance {tol:.3g}", value=total, error_estimate=err)
     return total, err

@@ -344,6 +344,12 @@ def test_non_convergence_exits_3(capsys):
     # the lattice zeta's fixed table refuses a tolerance its computed estimate misses
     code, rep = run_json(capsys, "zeta", "zd", "--d", "2", "--s", "0.5", "--tol", "1e-20")
     assert (code, rep["kind"]) == (3, "non-convergence")
+    # so does the continuum split's fixed grid, once its narrowest panels miss; at the default tolerance it returns
+    argv = ("zeta", "eh", "--alpha", "1,1", "--lambda", "0.3,0.7", "--s", "0.5")
+    code, rep = run_json(capsys, *argv, "--tol", "1e-20")
+    assert (code, rep["kind"]) == (3, "non-convergence")
+    code, rep = run_json(capsys, *argv)
+    assert (code, rep["result"]["method"]) == (0, "integral_split")
     # --tol reaches eh-deriv0 only on the split fallback (d >= 5), and zd only for d >= 2
     for argv in (("eh-deriv0", "--alpha", "1", "--lambda", "0.5"), ("zd", "--d", "1", "--s", "0.25")):
         code, rep = run_json(capsys, "zeta", *argv, "--tol", "1e-20")

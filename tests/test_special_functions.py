@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from bundlezeta.errors import PreconditionError
 from bundlezeta.special_functions import (
+    bessel_i0_scaled_ratio_minus_one,
     bessel_i_complex,
     bessel_i_scaled,
     bessel_i_scaled_many,
@@ -163,6 +164,18 @@ def test_log_bessel_i0_scaled_small_and_moderate():
         assert log_bessel_i0_scaled(x) == pytest.approx(
             math.log(bessel_i_scaled(0, x)), rel=1e-13, abs=0.0
         )
+
+
+def test_bessel_i0_scaled_ratio_minus_one_against_mpmath():
+    # the docstring's figures: below x = 35 the subtraction keeps only its absolute error small (the value is
+    # about 1/8x), from 35 the series keeps the relative one
+    mpmath = pytest.importorskip("mpmath")
+    eps = math.ulp(1.0)
+    for x in np.concatenate((np.geomspace(1e-3, 35.0, 60, endpoint=False), np.geomspace(35.0, 1e8, 40))):
+        with mpmath.workdps(40):
+            ref = mpmath.sqrt(2 * mpmath.pi * x) * mpmath.exp(-x) * mpmath.besseli(0, x) - 1
+        err = abs(bessel_i0_scaled_ratio_minus_one(float(x)) - ref)
+        assert err <= (16.0 * eps if x < 35.0 else 8.0 * eps * abs(ref)), x
 
 
 # ---------------------------------------------------------------------------

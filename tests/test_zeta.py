@@ -1,5 +1,6 @@
 import functools
 import inspect
+import itertools
 import math
 
 import numpy as np
@@ -372,9 +373,8 @@ def test_eh_method_agreement_d3_d4():
 )
 @settings(max_examples=80)
 def test_chowla_selberg_matches_split_d1_to_d4(d, log_ratios, lams, u):
-    # aspect ratios 1e-3..1e3 against the first side, holonomies at the edges of [0, 1).  The split runs at
-    # rel_tol 1e-12: at its default 1e-10 it misses (1, 1, 1, 1), (0, 0, 0, 0.01), s = 2.25 by 4.3 times its
-    # estimate (1.2e-5 against 2.8e-6), where both routes agree to 2e-16 at rel_tol 1e-12 and 1e-13
+    # aspect ratios 1e-3..1e3 against the first side, holonomies at the edges of [0, 1); the split runs at
+    # rel_tol 1e-12, tighter than its default
     lam = tuple(lams[:d])
     assume(any(lam))
     alpha = (1.0,) + tuple(10.0**x for x in log_ratios[: d - 1])
@@ -385,6 +385,68 @@ def test_chowla_selberg_matches_split_d1_to_d4(d, log_ratios, lams, u):
     s = 0.5 * d + 0.25 + u * (9.75 - 0.5 * d)
     res, split = epstein_hurwitz_zeta(s, spec, method="eigensum"), epstein_hurwitz_zeta(s, spec, "integral_split", quad)
     assert abs(res.value - split.value) <= max(1e-12 * abs(res.value), split.error_estimate), (s, alpha, lam)
+
+
+def test_eh_split_next_to_the_d4_pole_within_its_estimate():
+    # the adaptive split read 255970.9095023727 +- 2.8e-6 here, 1.2e-5 (4.3 times its estimate) off the rows
+    spec = ContinuousTorusSpec((1.0, 1.0, 1.0, 1.0), (0.0, 0.0, 0.0, 0.01))
+    rows, split = epstein_hurwitz_zeta(2.25, spec), epstein_hurwitz_zeta(2.25, spec, method="integral_split")
+    assert rows.method == "eigensum" and rows.value == pytest.approx(255970.90951448106, rel=1e-15, abs=0.0)
+    assert abs(split.value - rows.value) <= split.error_estimate <= 1e-13 * abs(rows.value)
+
+
+def _eh_cs_mpmath(mp, s, alpha, lam, depth=45):
+    """Z(s) = sum over K of |((k_i + lam_i)/b_i)_i|^{-2s}, b = alpha/(2 pi) (so the continuum zeta), every lam_i in
+    (0, 1), by the Chowla-Selberg recursion in mpmath (20 digits) with no rows summed directly: Poisson over the
+    direction p of largest b turns row K' (c = b_p M, M = |((k_i + lam_i)/b_i)_{i != p}| > 0) into
+    4 pi^s b_p^{2s}/Gamma(s) sum_m (m/c)^{s-1/2} K_{s-1/2}(2 pi m c) cos(2 pi m lam_p) plus a lead; the leads add up
+    to b_p sqrt(pi) Gamma(s - 1/2)/Gamma(s) Z_{d-1}(s - 1/2), and the d = 1 end is b^{2s} (zeta(2s, lam) +
+    zeta(2s, 1 - lam)) by mpmath's Hurwitz zeta, continued to every s but its pole.  Terms with 2 pi m c > depth
+    (below e^-depth of their row's lead) are dropped.  Valid away from s - 1/2, s - 1, ... at the poles of Gamma.
+    """
+    with mp.workdps(20):
+        b, lam, s = [mp.mpf(a) / (2 * mp.pi) for a in alpha], [mp.mpf(x) for x in lam], mp.mpf(s)
+        if len(b) == 1:
+            return b[0] ** (2 * s) * (mp.zeta(2 * s, lam[0]) + mp.zeta(2 * s, 1 - lam[0]))
+        p = max(range(len(b)), key=lambda i: b[i])
+        bp, lp = b.pop(p), lam.pop(p)
+        total = bp * mp.sqrt(mp.pi) * mp.gamma(s - 0.5) / mp.gamma(s) * _eh_cs_mpmath(mp, s - 0.5, [2 * mp.pi * x for x in b], lam, depth)
+        reach, rows = depth / (2 * mp.pi), 0
+        ranges = [range(int(mp.floor(-reach * x / bp - l)), int(mp.ceil(reach * x / bp - l)) + 1) for x, l in zip(b, lam)]
+        for ks in itertools.product(*ranges):
+            c, m = bp * mp.sqrt(sum(((k + l) / x) ** 2 for k, l, x in zip(ks, lam, b))), 1
+            while 2 * mp.pi * m * c <= depth:
+                rows += (m / c) ** (s - 0.5) * mp.besselk(s - 0.5, 2 * mp.pi * m * c) * mp.cos(2 * mp.pi * m * lp)
+                m += 1
+        return total + 4 * mp.pi**s * bp ** (2 * s) / mp.gamma(s) * rows
+
+
+@pytest.mark.parametrize(
+    "s, alpha, lam",
+    [(s, (1.0, 1.4), (0.3, 0.7)) for s in (0.2, 0.35, 0.75, 0.95)]
+    + [(s, (2.0, 1.0, 1.3), (0.3, 0.7, 0.2)) for s in (0.3, 0.8, 1.2, 1.45)],
+)
+def test_eh_split_below_the_pole_against_mpmath(s, alpha, lam):
+    # 0 < s < d/2, where the rows refuse and the split is the route of "auto" (thm13's continuum term)
+    mpmath = pytest.importorskip("mpmath")
+    ref = float(_eh_cs_mpmath(mpmath, s, alpha, lam))
+    res = epstein_hurwitz_zeta(s, ContinuousTorusSpec(alpha, lam))
+    assert res.method == "integral_split"
+    assert abs(res.value - ref) <= res.error_estimate <= 1e-14 * abs(ref), (s, ref, res)
+
+
+def test_eh_split_runs_no_adaptive_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("adaptive quadrature ran")
+
+    monkeypatch.setattr(quadrature, "integrate_interval", refuse)
+    for s, alpha, lam in ((0.25, (1.0,), (0.3,)), (3.0, (1.0,), (0.02,)), (0.5, (1.0, 1.4), (0.3, 0.7)),
+                          (2.0, (1.0, 1e-3), (0.5, 0.01)), (1.2, (1.0, 2.0, 0.5), (0.3, 0.0, 0.2)), (6.0, (1.0, 1.0, 1.0), (0.5, 0.5, 0.5))):
+        epstein_hurwitz_zeta(s, ContinuousTorusSpec(alpha, lam), method="integral_split")
+    for d in (1, 2, 3):
+        epstein_hurwitz_deriv0(ContinuousTorusSpec((1.0,) * d, (0.3,) * d), method="integral_split")
+    res = epstein_hurwitz_deriv0(ContinuousTorusSpec((1.0, 1.1, 0.9, 1.2, 1.0), (0.3, 0.2, 0.4, 0.1, 0.6)))
+    assert res.method == "integral_split"
 
 
 def _eh_deriv0_d3_mpmath(mpmath, alpha, lam):
